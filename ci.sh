@@ -6,6 +6,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> cargo build perfbench (benchmark harness, its own workspace)"
+# perfbench imports solver entry points by name; building it here makes
+# a rename fail CI instead of the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

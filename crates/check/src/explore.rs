@@ -7,10 +7,12 @@
 //! * the task plan per phase is [`cachegraph_fw::plan::Planner`] — the
 //!   same calls `fw_tiled_parallel` makes;
 //! * tasks are assigned to workers with the same chunking as
-//!   `run_parallel` (`threads.min(tasks).max(1)` workers, contiguous
-//!   chunks of `len.div_ceil(threads)` tasks);
+//!   [`cachegraph_plan::run_tasks`] (`threads.min(tasks).max(1)`
+//!   workers, contiguous chunks of `len.div_ceil(threads)` tasks);
 //! * each worker's work is split into *steps*: one outer-`k` iteration
-//!   of the FWI kernel per step, in exactly `fwi_raw`'s operation order.
+//!   of the FWI kernel per step, in exactly the operation order of the
+//!   default `CellAccess::fwi_block` in `fw/src/kernel.rs`, which the
+//!   parallel driver's workers run.
 //!
 //! A schedule is a sequence of worker ids; the scheduler runs the next
 //! step of the named worker at each position. The scheduler itself —
@@ -167,7 +169,8 @@ fn note(first: &mut Option<Race>, race: Option<Race>) {
 }
 
 /// One outer-`k` iteration of `FWI(A, B, C)` for `task`, in exactly
-/// `fwi_raw`'s operation order, against the shadow.
+/// the default `CellAccess::fwi_block`'s operation order, against the
+/// shadow.
 fn k_step(shadow: &mut ShadowStorage, task: &TileTask, k: usize, b: usize, tid: u16, first: &mut Option<Race>) {
     for i in 0..b {
         let (bik, race) = shadow.read(task.b.at(i, k), tid);
@@ -200,7 +203,7 @@ struct PhaseCtx {
 /// Explore one parallel phase through the generic engine in
 /// [`cachegraph_plan::schedule`]: one step = one outer-`k` iteration of
 /// a task's kernel ([`k_step`]), workers chunked exactly like
-/// `run_parallel`. On return `shadow` holds the canonical end-of-phase
+/// `cachegraph_plan::run_tasks`. On return `shadow` holds the canonical end-of-phase
 /// state (what the barriered driver computes).
 fn explore_phase(
     shadow: &mut ShadowStorage,

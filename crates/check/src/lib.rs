@@ -1,11 +1,12 @@
 //! `cachegraph-check`: a vendored, zero-dependency mini-loom for the
 //! parallel tiled Floyd-Warshall driver.
 //!
-//! `fw::parallel` is the only part of the workspace built on `unsafe`
-//! raw-pointer sharing. Its soundness rests on one claim, repeated in
-//! every `SAFETY:` comment: *within each parallel phase, every task
-//! writes only its own tile, and no task reads a cell any other task of
-//! that phase writes*. This crate turns that comment into a machine-
+//! `fw::parallel`'s `SharedStorage` is the workspace's only `unsafe`
+//! raw-pointer sharing; the parallel tiled driver and the parallel
+//! cache simulation both run their workers over it. Its soundness rests
+//! on one claim, repeated in every `SAFETY:` comment: *within each
+//! parallel phase, every task writes only its own tile, and no task
+//! reads a cell any other task of that phase writes*. This crate turns that comment into a machine-
 //! checked fact, in the spirit of loom/CDSChecker-style exhaustive
 //! interleaving exploration but vendored and deterministic (the sandbox
 //! has no registry access and no Miri):
@@ -30,8 +31,10 @@
 //!   enumerates task interleavings per phase (exhaustively when the
 //!   interleaving count is within a bound, else seeded-random via
 //!   `cachegraph-rng`, with the failing schedule and seed reported for
-//!   replay). Workers mirror `run_parallel`'s chunking; steps mirror
-//!   `fwi_raw`'s operation order at outer-`k`-iteration granularity.
+//!   replay). Workers mirror `cachegraph_plan::run_tasks`'s chunking;
+//!   steps mirror the operation order of the default
+//!   `CellAccess::fwi_block` kernel in `fw/src/kernel.rs` (the one the
+//!   parallel driver runs) at outer-`k`-iteration granularity.
 //!   Every raceless schedule must reproduce the sequential tiled result.
 //! * **Mutation mode** ([`explore::ExploreOptions::merge_phases`]) —
 //!   deliberately omits the barrier between phases 2 and 3 and asserts

@@ -37,7 +37,7 @@ fn random_mode_covers_wider_configs() {
 
 #[test]
 fn more_threads_than_tasks_is_explored_cleanly() {
-    // threads > per-phase task count: run_parallel clamps the worker
+    // threads > per-phase task count: run_tasks clamps the worker
     // count, and so must the explorer.
     let cfg = Config { n: 8, b: 4, threads: 16, seed: 0xbeef };
     let report = explore_config(&cfg, &ExploreOptions::default());

@@ -1,12 +1,11 @@
 //! Cancellable tiled Floyd-Warshall for deadline-propagating callers.
 //!
-//! [`run_tiled_cancellable`] is the exact decomposition of
-//! [`run_tiled_with`](crate::run_tiled_with) — diagonal tile, then row
-//! and column `t`, then the remainder — with a cancellation poll at
-//! every *block boundary* (once per tile, between kernel calls). The
-//! FWI kernel itself is untouched and never polls: a `b x b` kernel
-//! call is microseconds, so per-tile granularity bounds the overrun
-//! past a deadline at one tile while keeping the hot loop branch-free.
+//! [`fw_tiled_cancellable`] is the tiled driver with a cancellation poll
+//! at every *block boundary* (once per tile, between kernel calls): its
+//! hook polls on each [`FwEvent::Kernel`]. The FWI kernel itself is
+//! untouched and never polls: a `b x b` kernel call is microseconds, so
+//! per-tile granularity bounds the overrun past a deadline at one tile
+//! while keeping the hot loop branch-free.
 //!
 //! Cancellation is a plain `FnMut() -> bool`, mirroring the event-hook
 //! pattern of [`crate::observed`]: this crate stays free of any
@@ -16,8 +15,11 @@
 //! per kernel call, so a request trace shows the deadline granularity
 //! an APSP query actually ran under.
 
-use crate::kernel::{fwi_access, CellAccess, SliceAccess, StridedView};
+use crate::kernel::{SliceAccess, StridedView};
 use crate::matrix::FwMatrix;
+use crate::observed::FwEvent;
+use crate::plan::Planner;
+use crate::tiled::{drive, Inline};
 
 /// The computation was abandoned at a tile boundary. The matrix is left
 /// partially relaxed and must be discarded.
@@ -32,83 +34,24 @@ impl std::fmt::Display for FwCancelled {
 
 impl std::error::Error for FwCancelled {}
 
-/// [`fw_tiled`](crate::fw_tiled) with cancellation. On `Err` the matrix
-/// holds a partially relaxed state and must not be read as distances.
+/// [`fw_tiled`](crate::fw_tiled) with cancellation: `cancel` is polled
+/// before every kernel call, and `true` abandons the run. On `Err` the
+/// matrix holds a partially relaxed state and must not be read as
+/// distances.
 pub fn fw_tiled_cancellable<L: StridedView>(
     m: &mut FwMatrix<L>,
     b: usize,
     cancel: &mut impl FnMut() -> bool,
 ) -> Result<(), FwCancelled> {
     let layout = m.layout().clone();
-    let n = m.n();
-    run_tiled_cancellable(&layout, n, &mut SliceAccess(m.storage_mut()), b, cancel)
-}
-
-/// Accessor-generic driver behind [`fw_tiled_cancellable`]; same
-/// contract as [`run_tiled_with`](crate::run_tiled_with), same asserts.
-pub fn run_tiled_cancellable<L: StridedView, A: CellAccess>(
-    layout: &L,
-    n: usize,
-    acc: &mut A,
-    b: usize,
-    cancel: &mut impl FnMut() -> bool,
-) -> Result<(), FwCancelled> {
-    let p = layout.padded_n();
-    assert!(b >= 1 && p.is_multiple_of(b), "padded size {p} must be a multiple of the tile size {b}");
-    assert!(
-        layout.view(0, 0, b).is_some(),
-        "layout must expose aligned {b}x{b} tiles (tile size must match the layout's block size)"
-    );
-    let real_tiles = n.div_ceil(b);
-    let view = |ti: usize, tj: usize| {
-        let v = layout.view(ti * b, tj * b, b);
-        // tidy: allow(panic-policy) -- tiling validated by the assert above
-        v.expect("layout must expose aligned bxb tiles as strided views")
-    };
-
-    let check = |cancel: &mut dyn FnMut() -> bool| -> Result<(), FwCancelled> {
-        if cancel() {
+    let planner = Planner::new(&layout, m.n(), b);
+    drive(&planner, &mut Inline(&mut SliceAccess(m.storage_mut())), &mut |ev| {
+        if ev == FwEvent::Kernel && cancel() {
             Err(FwCancelled)
         } else {
             Ok(())
         }
-    };
-
-    for t in 0..real_tiles {
-        let diag = view(t, t);
-        check(cancel)?;
-        fwi_access(acc, diag, diag, diag, b);
-        for j in 0..real_tiles {
-            if j != t {
-                let a = view(t, j);
-                check(cancel)?;
-                fwi_access(acc, a, diag, a, b);
-            }
-        }
-        for i in 0..real_tiles {
-            if i != t {
-                let a = view(i, t);
-                check(cancel)?;
-                fwi_access(acc, a, a, diag, b);
-            }
-        }
-        for i in 0..real_tiles {
-            if i == t {
-                continue;
-            }
-            let bt = view(i, t);
-            for j in 0..real_tiles {
-                if j == t {
-                    continue;
-                }
-                let a = view(i, j);
-                let ct = view(t, j);
-                check(cancel)?;
-                fwi_access(acc, a, bt, ct, b);
-            }
-        }
-    }
-    Ok(())
+    })
 }
 
 #[cfg(test)]

@@ -6,13 +6,17 @@
 //! conflict-freedom at the cost of `O(B²)` copy work per kernel call —
 //! the classic alternative the BDL makes unnecessary, included so the
 //! trade can be measured (`repro layouts` / the `fw_bench` group).
+//!
+//! The copies live in an accessor, [`CopyAccess`], whose kernel call
+//! copies in, runs FWI on the scratch tiles and copies out; the tiled
+//! driver runs it like any other accessor.
 
 use cachegraph_graph::Weight;
-use cachegraph_layout::{Layout, RowMajor};
+use cachegraph_layout::RowMajor;
 
-use crate::kernel::{fwi, View};
+use crate::kernel::{fwi, CellAccess, View};
 use crate::matrix::FwMatrix;
-use crate::observed::FwEvent;
+use crate::tiled::run_tiled;
 
 /// Identifies which of the three scratch buffers a tile operand uses.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -22,17 +26,21 @@ enum Operand {
     C,
 }
 
-/// Scratch tiles plus copy helpers.
-struct Scratch {
+/// Matrix storage whose [`CellAccess::fwi_block`] runs the kernel on
+/// contiguous scratch copies of the three tiles.
+pub(crate) struct CopyAccess<'a> {
+    data: &'a mut [Weight],
     b: usize,
     /// Three contiguous `b x b` buffers, one per operand, in one
     /// allocation: A at 0, B at `b²`, C at `2b²`.
-    data: Vec<Weight>,
+    scratch: Vec<Weight>,
+    /// Tiles copied in or out so far.
+    pub(crate) copies: u64,
 }
 
-impl Scratch {
-    fn new(b: usize) -> Self {
-        Self { b, data: vec![0; 3 * b * b] }
+impl<'a> CopyAccess<'a> {
+    pub(crate) fn new(data: &'a mut [Weight], b: usize) -> Self {
+        Self { data, b, scratch: vec![0; 3 * b * b], copies: 0 }
     }
 
     fn offset(&self, op: Operand) -> usize {
@@ -48,118 +56,67 @@ impl Scratch {
     }
 
     /// Copy a tile from the matrix into scratch slot `op`.
-    fn copy_in(&mut self, src: &[Weight], tile: View, op: Operand) {
-        let off = self.offset(op);
-        for i in 0..self.b {
+    fn copy_in(&mut self, tile: View, op: Operand) {
+        let (off, b) = (self.offset(op), self.b);
+        for i in 0..b {
             let s = tile.at(i, 0);
-            self.data[off + i * self.b..off + (i + 1) * self.b]
-                .copy_from_slice(&src[s..s + self.b]);
+            self.scratch[off + i * b..off + (i + 1) * b].copy_from_slice(&self.data[s..s + b]);
         }
+        self.copies += 1;
     }
 
     /// Copy scratch slot `op` back into the matrix tile.
-    fn copy_out(&self, dst: &mut [Weight], tile: View, op: Operand) {
-        let off = self.offset(op);
-        for i in 0..self.b {
+    fn copy_out(&mut self, tile: View, op: Operand) {
+        let (off, b) = (self.offset(op), self.b);
+        for i in 0..b {
             let d = tile.at(i, 0);
-            dst[d..d + self.b].copy_from_slice(&self.data[off + i * self.b..off + (i + 1) * self.b]);
+            self.data[d..d + b].copy_from_slice(&self.scratch[off + i * b..off + (i + 1) * b]);
         }
+        self.copies += 1;
     }
 }
 
-/// Run FWI on scratch copies of the three tiles, preserving aliasing:
-/// operands that refer to the same tile share one scratch slot, so the
-/// in-place update semantics of the aliased kernel are kept. The hook
-/// sees one [`FwEvent::TileCopy`] per tile copied in or out and one
-/// [`FwEvent::Kernel`] per kernel call.
-fn fwi_copied(
-    data: &mut [Weight],
-    scratch: &mut Scratch,
-    a: View,
-    bt: View,
-    ct: View,
-    b: usize,
-    hook: &mut impl FnMut(FwEvent),
-) {
-    scratch.copy_in(data, a, Operand::A);
-    hook(FwEvent::TileCopy);
-    let b_op = if bt == a {
-        Operand::A
-    } else {
-        scratch.copy_in(data, bt, Operand::B);
-        hook(FwEvent::TileCopy);
-        Operand::B
-    };
-    let c_op = if ct == a {
-        Operand::A
-    } else if ct == bt {
-        b_op
-    } else {
-        scratch.copy_in(data, ct, Operand::C);
-        hook(FwEvent::TileCopy);
-        Operand::C
-    };
-    let (va, vb, vc) = (scratch.view(Operand::A), scratch.view(b_op), scratch.view(c_op));
-    hook(FwEvent::Kernel);
-    fwi(&mut scratch.data, va, vb, vc, b);
-    scratch.copy_out(data, a, Operand::A);
-    hook(FwEvent::TileCopy);
+impl CellAccess for CopyAccess<'_> {
+    fn read(&mut self, idx: usize) -> Weight {
+        self.data[idx]
+    }
+
+    fn write(&mut self, idx: usize, v: Weight) {
+        self.data[idx] = v;
+    }
+
+    /// FWI on scratch copies of the three tiles, preserving aliasing:
+    /// operands that refer to the same tile share one scratch slot, so the
+    /// in-place update semantics of the aliased kernel are kept.
+    fn fwi_block(&mut self, a: View, bt: View, ct: View, size: usize) {
+        debug_assert_eq!(size, self.b, "tiles must be the accessor's tile size");
+        self.copy_in(a, Operand::A);
+        let b_op = if bt == a {
+            Operand::A
+        } else {
+            self.copy_in(bt, Operand::B);
+            Operand::B
+        };
+        let c_op = if ct == a {
+            Operand::A
+        } else if ct == bt {
+            b_op
+        } else {
+            self.copy_in(ct, Operand::C);
+            Operand::C
+        };
+        let (va, vb, vc) = (self.view(Operand::A), self.view(b_op), self.view(c_op));
+        fwi(&mut self.scratch, va, vb, vc, size);
+        self.copy_out(a, Operand::A);
+    }
 }
 
 /// Tiled Floyd-Warshall over a **row-major** matrix with per-tile
 /// copy-in/copy-out. Same phase structure and result as
 /// [`fw_tiled`](crate::fw_tiled).
 pub fn fw_tiled_copy(m: &mut FwMatrix<RowMajor>, b: usize) {
-    fw_tiled_copy_with(m, b, &mut |_| {});
-}
-
-/// [`fw_tiled_copy`] with an event hook for observability — the observed
-/// variant counts tile copies, the `O(B²)` cost this implementation pays
-/// that the Block Data Layout avoids.
-pub fn fw_tiled_copy_with(
-    m: &mut FwMatrix<RowMajor>,
-    b: usize,
-    hook: &mut impl FnMut(FwEvent),
-) {
-    let p = m.padded_n();
-    let n = m.n();
-    assert!(b >= 1 && p.is_multiple_of(b), "matrix size {p} must be a multiple of the tile size {b}");
-    let real_tiles = n.div_ceil(b);
-    let layout = *m.layout();
-    // Row-major exposes every in-range region as a strided view, so the
-    // view can be built directly with no fallible lookup.
-    let view = |ti: usize, tj: usize| View { offset: layout.index(ti * b, tj * b), stride: p };
-    let mut scratch = Scratch::new(b);
-    let data = m.storage_mut();
-    for t in 0..real_tiles {
-        hook(FwEvent::BlockStart(t));
-        let diag = view(t, t);
-        fwi_copied(data, &mut scratch, diag, diag, diag, b, hook);
-        for j in 0..real_tiles {
-            if j != t {
-                let a = view(t, j);
-                fwi_copied(data, &mut scratch, a, diag, a, b, hook);
-            }
-        }
-        for i in 0..real_tiles {
-            if i != t {
-                let a = view(i, t);
-                fwi_copied(data, &mut scratch, a, a, diag, b, hook);
-            }
-        }
-        for i in 0..real_tiles {
-            if i == t {
-                continue;
-            }
-            let bt = view(i, t);
-            for j in 0..real_tiles {
-                if j == t {
-                    continue;
-                }
-                fwi_copied(data, &mut scratch, view(i, j), bt, view(t, j), b, hook);
-            }
-        }
-    }
+    let (layout, n) = (*m.layout(), m.n());
+    run_tiled(&layout, n, &mut CopyAccess::new(m.storage_mut(), b), b);
 }
 
 #[cfg(test)]

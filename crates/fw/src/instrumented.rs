@@ -7,19 +7,23 @@
 //! distances are returned alongside the statistics — every simulation also
 //! validates correctness.
 
+use std::convert::Infallible;
+
 use cachegraph_graph::{Weight, INF};
 use cachegraph_layout::{BlockLayout, Layout, RowMajor, ZMorton};
 use cachegraph_obs::Registry;
+use cachegraph_plan::{run_tasks_mut, worker_count};
 use cachegraph_sim::{
     AddressSpace, CacheProfile, HierarchyConfig, HierarchyStats, MemoryHierarchy, ProfilerOptions,
     ScopeGuard, ScopeHandle, TracedBuffer,
 };
 
-use crate::kernel::{fwi_access, CellAccess, StridedView, View};
+use crate::kernel::{CellAccess, StridedView, View};
 use crate::observed::FwEvent;
+use crate::parallel::SharedStorage;
 use crate::plan::{Planner, TileTask};
 use crate::recursive::{run_recursive, run_recursive_with};
-use crate::tiled::{run_tiled, run_tiled_with};
+use crate::tiled::{drive, no_hook, run_tiled, Inline, TileExec};
 
 /// Result of a simulated FW run.
 #[derive(Clone, Debug)]
@@ -247,57 +251,14 @@ fn run_tiled_scoped<L: StridedView>(
     root: &str,
 ) {
     let mut tile_scope: Option<ScopeGuard> = None;
-    run_tiled_with(layout, n, acc, b, &mut |ev| {
+    let Ok(()) = drive(&Planner::new(layout, n, b), &mut Inline(acc), &mut |ev| {
         if let FwEvent::BlockStart(t) = ev {
             // Guard drop order is free (each guard removes itself from
             // the scope stack), so plain Option replacement is correct.
             tile_scope = Some(scope.enter(&format!("{root}/tile[{t}]")));
         }
+        Ok::<(), Infallible>(())
     });
-}
-
-/// Cells of the parallel simulation's shared distance matrix: real
-/// updates go through the raw pointer (the same phase-disjointness
-/// argument as `fw::parallel`'s `SharedStorage`), while each worker
-/// separately feeds its accesses to a private simulated hierarchy.
-#[derive(Clone, Copy)]
-struct SharedCells {
-    ptr: *mut Weight,
-    len: usize,
-}
-
-// SAFETY: the handle is a plain pointer+len pair with no interior state;
-// all concurrent access goes through `read`/`write`, whose callers uphold
-// the per-phase task disjointness (each A tile written by exactly one
-// task per phase, B/C tiles only read).
-unsafe impl Sync for SharedCells {}
-// SAFETY: moving the handle to another thread transfers no aliasing
-// obligations; soundness rests on the per-phase task disjointness, not on
-// which thread holds the copy.
-unsafe impl Send for SharedCells {}
-
-impl SharedCells {
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Weight {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and no concurrent writer, per this method's
-        // contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) }
-    }
-
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// reading or writing the cell at `idx`.
-    #[inline(always)]
-    unsafe fn write(&self, idx: usize, v: Weight) {
-        debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and exclusive access to this cell, per this
-        // method's contract which the caller upholds.
-        unsafe { *self.ptr.add(idx) = v }
-    }
 }
 
 /// Base simulated address of the parallel run's shared matrix. Every
@@ -309,80 +270,89 @@ const PARALLEL_SIM_BASE: u64 = 0x1000_0000;
 /// Accessor for one parallel worker: cell values live in the shared
 /// storage, cache behavior is simulated on the worker's private
 /// hierarchy.
-struct SharedSimAccess<'h> {
-    cells: SharedCells,
+struct SharedSimAccess<'d, 'h> {
+    cells: SharedStorage<'d>,
     hier: &'h mut MemoryHierarchy,
 }
 
-impl<'h> SharedSimAccess<'h> {
-    /// # Safety
-    /// For this accessor's lifetime, no other thread may write any cell
-    /// it reads nor touch any cell it writes (the planner's per-phase
-    /// task disjointness).
-    unsafe fn new(cells: SharedCells, hier: &'h mut MemoryHierarchy) -> Self {
-        Self { cells, hier }
-    }
-}
-
-impl CellAccess for SharedSimAccess<'_> {
+impl CellAccess for SharedSimAccess<'_, '_> {
     #[inline]
     fn read(&mut self, idx: usize) -> Weight {
         let size = std::mem::size_of::<Weight>();
         self.hier.read(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        // SAFETY: disjointness upheld by the constructor's contract.
-        unsafe { self.cells.read(idx) }
+        self.cells.read(idx)
     }
 
     #[inline]
     fn write(&mut self, idx: usize, v: Weight) {
         let size = std::mem::size_of::<Weight>();
         self.hier.write(PARALLEL_SIM_BASE + (idx * size) as u64, size);
-        // SAFETY: disjointness upheld by the constructor's contract.
-        unsafe { self.cells.write(idx, v) }
+        self.cells.write(idx, v)
     }
 }
 
-/// Run one parallel phase of the profiled simulation: `tasks` split
-/// contiguously across the workers (the same `div_ceil` chunking as
-/// `fw::parallel`), each worker simulating its share on its private
-/// hierarchy under a `{label}/thread[w]` scope nested in the `{label}`
-/// root. `std::thread::scope` joins every worker before returning — the
-/// inter-phase barrier.
-fn run_parallel_profiled(
-    cells: SharedCells,
-    tasks: &[TileTask],
-    b: usize,
-    label: &str,
-    workers: &mut [(MemoryHierarchy, ScopeHandle)],
-) {
-    if tasks.is_empty() {
-        return;
+/// Label of the parallel simulation's profile and root scope.
+const PARALLEL_LABEL: &str = "fw.tiled.parallel";
+
+/// Executor of the parallel simulation: one private hierarchy and
+/// profiler per worker over the one shared matrix. The diagonal task
+/// runs on worker 0 under a `{label}/diag` scope; phases 2 and 3 are
+/// split contiguously across the workers (the `div_ceil` chunking of
+/// `fw::parallel`), each worker simulating its chunk under a
+/// `{label}/thread[w]` scope on a [`run_tasks_mut`] worker, whose join is
+/// the inter-phase barrier.
+struct SimWorkers<'d> {
+    data: SharedStorage<'d>,
+    workers: Vec<(MemoryHierarchy, ScopeHandle)>,
+}
+
+impl TileExec for SimWorkers<'_> {
+    fn diag<E>(
+        &mut self,
+        task: TileTask,
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        hook(FwEvent::Kernel)?;
+        let (hier, scope) = &mut self.workers[0];
+        let _root = scope.enter(PARALLEL_LABEL);
+        let _diag = scope.enter(&format!("{PARALLEL_LABEL}/diag"));
+        SharedSimAccess { cells: self.data, hier }.fwi_block(task.a, task.b, task.c, b);
+        Ok(())
     }
-    let active = workers.len().min(tasks.len()).max(1);
-    let chunk = tasks.len().div_ceil(active);
-    std::thread::scope(|s| {
-        for (w, (slice, worker)) in tasks.chunks(chunk).zip(workers.iter_mut()).enumerate() {
-            s.spawn(move || {
-                let (hier, scope) = worker;
-                let _root = scope.enter(label);
-                let _thread = scope.enter(&format!("{label}/thread[{w}]"));
-                // SAFETY: each task's A tile is written by exactly one
-                // task in this phase; B/C tiles are only read and are not
-                // any task's A tile in this phase (the plan-level
-                // disjointness machine-checked by `cachegraph-check`).
-                let mut acc = unsafe { SharedSimAccess::new(cells, hier) };
-                for task in slice {
-                    fwi_access(&mut acc, task.a, task.b, task.c, b);
-                }
-            });
+
+    fn phase<E>(
+        &mut self,
+        tasks: &[TileTask],
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for _ in tasks {
+            hook(FwEvent::Kernel)?;
         }
-    });
+        if tasks.is_empty() {
+            return Ok(());
+        }
+        let chunk = tasks.len().div_ceil(worker_count(tasks.len(), self.workers.len()));
+        let mut jobs: Vec<_> = tasks.chunks(chunk).zip(self.workers.iter_mut()).collect();
+        let data = self.data;
+        let threads = jobs.len();
+        run_tasks_mut(&mut jobs, threads, |w, (slice, (hier, scope))| {
+            let _root = scope.enter(PARALLEL_LABEL);
+            let _thread = scope.enter(&format!("{PARALLEL_LABEL}/thread[{w}]"));
+            let mut acc = SharedSimAccess { cells: data, hier };
+            for t in slice.iter() {
+                acc.fwi_block(t.a, t.b, t.c, b);
+            }
+        });
+        Ok(())
+    }
 }
 
 /// Parallel tiled Floyd-Warshall (the three-phase plan of
 /// [`fw_tiled_parallel`](crate::parallel::fw_tiled_parallel)) simulated
 /// with one private cache hierarchy **and one attribution profiler per
-/// worker**, merged when the scoped threads join. The model is
+/// worker**, merged when the workers finish. The model is
 /// private-cache SMP: every worker simulates the same shared address
 /// range on its own hierarchy, so the merged counters are the sum of
 /// per-core traffic. The merged profile keeps one `{label}/thread[w]`
@@ -399,40 +369,25 @@ pub fn sim_tiled_parallel_profiled(
     registry: &Registry,
 ) -> FwProfiledResult {
     assert!(threads >= 1, "need at least one thread");
-    let label = "fw.tiled.parallel";
     let layout = BlockLayout::new(n, b);
     let mut data = padded_storage(&layout, costs);
     let planner = Planner::new(&layout, n, b);
-    let mut workers: Vec<(MemoryHierarchy, ScopeHandle)> = (0..threads)
+    let workers = (0..threads)
         .map(|_| {
             let mut h = MemoryHierarchy::new_classifying(config.clone());
-            let scope = h.attach_profiler_with(label, options, registry);
+            let scope = h.attach_profiler_with(PARALLEL_LABEL, options, registry);
             (h, scope)
         })
         .collect();
-    let cells = SharedCells { ptr: data.as_mut_ptr(), len: data.len() };
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        {
-            // Phase 1: the sequential diagonal tile, simulated on
-            // worker 0 under a dedicated scope.
-            let (hier, scope) = &mut workers[0];
-            let diag = planner.phase1(t);
-            let _root = scope.enter(label);
-            let _diag = scope.enter(&format!("{label}/diag"));
-            // SAFETY: no other thread is running.
-            let mut acc = unsafe { SharedSimAccess::new(cells, hier) };
-            fwi_access(&mut acc, diag.a, diag.b, diag.c, b);
-        }
-        planner.phase2(t, &mut phase2);
-        run_parallel_profiled(cells, &phase2, b, label, &mut workers);
-        planner.phase3(t, &mut phase3);
-        run_parallel_profiled(cells, &phase3, b, label, &mut workers);
-    }
+    // SAFETY: only `drive` uses the handle, running one planner phase at
+    // a time through `SimWorkers`, whose `run_tasks_mut` joins every
+    // worker before it returns; tasks of one phase are disjoint (the
+    // footprint oracle).
+    let mut exec = SimWorkers { data: unsafe { SharedStorage::new(&mut data) }, workers };
+    let Ok(()) = drive(&planner, &mut exec, &mut no_hook);
     let mut stats: Option<HierarchyStats> = None;
-    let mut parts = Vec::with_capacity(workers.len());
-    for (mut hier, _scope) in workers {
+    let mut parts = Vec::with_capacity(exec.workers.len());
+    for (mut hier, _scope) in exec.workers {
         let s = hier.stats();
         match &mut stats {
             Some(acc) => acc.merge_from(&s),

@@ -12,10 +12,24 @@
 //!   (Fig. 3, FWR): eight recursive calls per level, the last four in
 //!   reverse order of the first four, with a tunable base-case size at
 //!   which the FWI triple loop takes over;
-//! * [`parallel::fw_tiled_parallel`] — the parallelisation sketched in the
-//!   paper's conclusion, built on the tiled decomposition;
 //! * [`instrumented`] — the same algorithms replayed through the
 //!   `cachegraph-sim` hierarchy for miss-count experiments (Tables 1–3).
+//!
+//! Every tiled entry point runs one driver: the block loop over the
+//! tiles of [`plan::Planner`], the plan `cachegraph-check` model-checks.
+//! The variants differ only in the hook around it and the executor
+//! under it:
+//!
+//! * [`fw_tiled`] / [`run_tiled`] — inline over any [`CellAccess`];
+//! * [`fw_tiled_observed`] — a hook that opens spans and counts kernels;
+//! * [`fw_tiled_cancellable`] — a hook that polls before every kernel
+//!   call and can stop the run;
+//! * [`fw_tiled_copy`] — an accessor that copies each tile into scratch
+//!   and back around the kernel (Lam, Rothberg & Wolf);
+//! * [`parallel::fw_tiled_parallel`] — the parallelisation sketched in
+//!   the paper's conclusion: each phase's tasks on scoped workers;
+//! * [`instrumented::sim_tiled_parallel_profiled`] — the same phases on
+//!   per-worker simulated caches.
 //!
 //! All variants work on a [`FwMatrix`]: a padded square matrix of `u32`
 //! weights in a pluggable layout ([`RowMajor`], [`BlockLayout`] /
@@ -57,13 +71,13 @@ mod recursive;
 mod tiled;
 
 pub use auto::{solve_apsp, solve_apsp_with_cache, DEFAULT_L1_ASSOC, DEFAULT_L1_BYTES};
-pub use cancel::{fw_tiled_cancellable, run_tiled_cancellable, FwCancelled};
+pub use cancel::{fw_tiled_cancellable, FwCancelled};
 pub use closure::{transitive_closure, transitive_closure_of, transitive_closure_tiled, BitMatrix};
 pub use closure_parallel::{
     close_band, closure_band_plan, propagate_row, transitive_closure_tiled_parallel,
     transitive_closure_tiled_parallel_cancellable, ClosureBandPlan,
 };
-pub use copy_tiled::{fw_tiled_copy, fw_tiled_copy_with};
+pub use copy_tiled::fw_tiled_copy;
 pub use cachegraph_graph::{Weight, INF};
 pub use iterative::{fw_iterative, fw_iterative_slice};
 pub use kernel::{fwi, fwi_access, CellAccess, SliceAccess, StridedView, View};
@@ -75,7 +89,7 @@ pub use observed::{
     FwEvent,
 };
 pub use recursive::{fw_recursive, run_recursive, run_recursive_with};
-pub use tiled::{fw_tiled, run_tiled, run_tiled_with};
+pub use tiled::{fw_tiled, run_tiled};
 
 /// Saturating min-plus "add" for weights: `INF + x = INF`.
 #[inline(always)]

@@ -1,10 +1,9 @@
 //! Observed Floyd-Warshall entry points.
 //!
-//! The drivers in this crate expose `*_with` variants taking an
-//! [`FwEvent`] hook; this module turns those events into
-//! `cachegraph-obs` spans and counters. The FWI kernel itself
-//! (`kernel.rs`, `// tidy: kernel`) stays instrumentation-free — the
-//! `obs-purity` tidy rule enforces that — so hooks fire only between
+//! The drivers in this crate take an [`FwEvent`] hook; this module turns
+//! those events into `cachegraph-obs` spans and counters. The FWI kernel
+//! itself (`kernel.rs`, `// tidy: kernel`) stays instrumentation-free —
+//! the `obs-purity` tidy rule enforces that — so hooks fire only between
 //! kernel calls, at tile/base-case granularity.
 //!
 //! Span naming (see EXPERIMENTS.md): roots are `fw.<variant>`
@@ -13,14 +12,17 @@
 //! child per block iteration. Counters: `fw.kernel_calls`,
 //! `fw.base_case_hits`, `fw.tile_copies`.
 
-use cachegraph_layout::RowMajor;
-use cachegraph_obs::{Registry, Span};
+use std::convert::Infallible;
 
-use crate::copy_tiled::fw_tiled_copy_with;
-use crate::kernel::{SliceAccess, StridedView};
+use cachegraph_layout::RowMajor;
+use cachegraph_obs::{Counter, Registry, Span};
+
+use crate::copy_tiled::CopyAccess;
+use crate::kernel::{CellAccess, SliceAccess, StridedView};
 use crate::matrix::FwMatrix;
+use crate::plan::Planner;
 use crate::recursive::run_recursive_with;
-use crate::tiled::run_tiled_with;
+use crate::tiled::{drive, Inline};
 
 /// Driver events surfaced to instrumentation hooks. Every variant is
 /// per-tile or coarser — never per-cell — so a hook costs at most one
@@ -33,9 +35,6 @@ pub enum FwEvent {
     Kernel,
     /// The recursion bottomed out in a base-case kernel.
     BaseCase,
-    /// One tile copied between the matrix and a scratch buffer
-    /// (copy-optimized tiled variant only).
-    TileCopy,
     /// The recursive decomposition entered a node at this depth (root
     /// call = 0, base cases deepest). Balanced with
     /// [`RecurseLeave`](Self::RecurseLeave) per non-skipped node, so a
@@ -45,6 +44,40 @@ pub enum FwEvent {
     /// The matching exit for [`RecurseEnter`](Self::RecurseEnter) at
     /// the same depth.
     RecurseLeave(usize),
+}
+
+/// The tiled drivers' observation hook: one `{child}[t]` span under
+/// `root` per block iteration `t`, and one `kernel_calls` tick per
+/// kernel call.
+pub(crate) fn span_hook<'a>(
+    root: &'a Span,
+    child: &'a str,
+    kernel_calls: Counter,
+) -> impl FnMut(FwEvent) -> Result<(), Infallible> + 'a {
+    // Holds the open block span; replacing it closes the previous one.
+    let mut _block: Option<Span> = None;
+    move |ev| {
+        match ev {
+            FwEvent::BlockStart(t) => _block = Some(root.child(&format!("{child}[{t}]"))),
+            FwEvent::Kernel => kernel_calls.incr(),
+            _ => {}
+        }
+        Ok(())
+    }
+}
+
+/// Run the tiled driver inline over `acc`, with one `tile[t]` child of
+/// `root` per block iteration and the `fw.kernel_calls` counter.
+fn run_tiled_observed<L: StridedView, A: CellAccess>(
+    layout: &L,
+    n: usize,
+    acc: &mut A,
+    b: usize,
+    registry: &Registry,
+    root: &Span,
+) {
+    let mut hook = span_hook(root, "tile", registry.counter("fw.kernel_calls"));
+    let Ok(()) = drive(&Planner::new(layout, n, b), &mut Inline(acc), &mut hook);
 }
 
 /// [`fw_iterative`](crate::fw_iterative) under a `fw.iterative` span.
@@ -59,18 +92,8 @@ pub fn fw_iterative_observed<L: StridedView>(m: &mut FwMatrix<L>, registry: &Reg
 /// `fw.kernel_calls` counter.
 pub fn fw_tiled_observed<L: StridedView>(m: &mut FwMatrix<L>, b: usize, registry: &Registry) {
     let root = registry.span("fw.tiled");
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let layout = m.layout().clone();
-    let n = m.n();
-    let mut tile_span: Option<Span> = None;
-    run_tiled_with(&layout, n, &mut SliceAccess(m.storage_mut()), b, &mut |ev| match ev {
-        FwEvent::BlockStart(t) => tile_span = Some(root.child(&format!("tile[{t}]"))),
-        FwEvent::Kernel => kernel_calls.incr(),
-        FwEvent::BaseCase
-        | FwEvent::TileCopy
-        | FwEvent::RecurseEnter(_)
-        | FwEvent::RecurseLeave(_) => {}
-    });
+    let (layout, n) = (m.layout().clone(), m.n());
+    run_tiled_observed(&layout, n, &mut SliceAccess(m.storage_mut()), b, registry, &root);
 }
 
 /// [`fw_recursive`](crate::fw_recursive) reporting into `registry`: a
@@ -95,15 +118,10 @@ pub fn fw_recursive_observed<L: StridedView>(m: &mut FwMatrix<L>, base: usize, r
 /// `fw.kernel_calls` / `fw.tile_copies` counters.
 pub fn fw_tiled_copy_observed(m: &mut FwMatrix<RowMajor>, b: usize, registry: &Registry) {
     let root = registry.span("fw.copy");
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let tile_copies = registry.counter("fw.tile_copies");
-    let mut tile_span: Option<Span> = None;
-    fw_tiled_copy_with(m, b, &mut |ev| match ev {
-        FwEvent::BlockStart(t) => tile_span = Some(root.child(&format!("tile[{t}]"))),
-        FwEvent::Kernel => kernel_calls.incr(),
-        FwEvent::TileCopy => tile_copies.incr(),
-        FwEvent::BaseCase | FwEvent::RecurseEnter(_) | FwEvent::RecurseLeave(_) => {}
-    });
+    let (layout, n) = (*m.layout(), m.n());
+    let mut acc = CopyAccess::new(m.storage_mut(), b);
+    run_tiled_observed(&layout, n, &mut acc, b, registry, &root);
+    registry.counter("fw.tile_copies").add(acc.copies);
 }
 
 #[cfg(test)]

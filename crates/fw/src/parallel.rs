@@ -13,10 +13,12 @@
 //!    itself and its (now stable) row-`t` / column-`t` tiles.
 //!
 //! Tiles in phases 2 and 3 are written by exactly one task and read tiles
-//! written only in earlier phases, so tasks are data-race free. Work is
-//! distributed over `std::thread` scoped threads; the kernel runs over raw
-//! pointers because disjoint mutable tile views of one allocation cannot
-//! be expressed as safe slices.
+//! written only in earlier phases, so tasks are data-race free. The
+//! parallel driver is the tiled driver (`tiled.rs`) with a chunked
+//! executor: each phase's tasks go to [`cachegraph_plan::run_tasks`]
+//! scoped workers, which run the `kernel.rs` FWI kernel over a
+//! `SharedStorage` handle — raw pointers, because disjoint mutable tile
+//! views of one allocation cannot be expressed as safe slices.
 //!
 //! The task plan (which tile each task writes and reads, per phase) is
 //! built by [`crate::plan::Planner`] — pure data shared with the dynamic
@@ -24,173 +26,156 @@
 //! oracle and schedule explorer, which machine-check the phase
 //! disjointness argument every `SAFETY:` comment here relies on.
 
-use cachegraph_graph::{Weight, INF};
-use cachegraph_obs::{Counter, Registry};
+use std::marker::PhantomData;
 
-use crate::kernel::{StridedView, View};
+use cachegraph_graph::Weight;
+use cachegraph_obs::Registry;
+
+use crate::kernel::{CellAccess, StridedView};
 use crate::matrix::FwMatrix;
+use crate::observed::{span_hook, FwEvent};
 use crate::plan::{Planner, TileTask};
+use crate::tiled::{drive, no_hook, TileExec};
 
-/// Shared storage handle for the scoped worker threads. Soundness
-/// argument: within each parallel phase, every task writes only its own A
-/// tile (disjoint per task) and reads tiles no task writes in that phase.
+/// One matrix's storage, shared by the workers of a phase: a copyable
+/// pointer+len handle whose [`CellAccess`] reads and writes cells in
+/// place, so every worker runs the one FWI kernel of `kernel.rs`.
 #[derive(Clone, Copy)]
-struct SharedStorage {
+pub(crate) struct SharedStorage<'a> {
     ptr: *mut Weight,
     len: usize,
+    _data: PhantomData<&'a mut [Weight]>,
 }
 
 // SAFETY: the handle is a plain pointer+len pair with no interior state;
-// all concurrent access goes through `read`/`write`, whose callers uphold
-// the phase-disjointness argument above (each A tile written by exactly
+// all concurrent access goes through `read`/`write`, whose users uphold
+// the contract of `SharedStorage::new` (each A tile written by exactly
 // one task per phase, B/C tiles only read).
-unsafe impl Sync for SharedStorage {}
+unsafe impl Sync for SharedStorage<'_> {}
 // SAFETY: moving the handle to another thread transfers no aliasing
 // obligations; soundness rests on the per-phase task disjointness, not on
 // which thread holds the copy.
-unsafe impl Send for SharedStorage {}
+unsafe impl Send for SharedStorage<'_> {}
 
-impl SharedStorage {
+impl<'a> SharedStorage<'a> {
     /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// writing the cell at `idx`.
+    /// While any copy of the handle is in use, `data` must be accessed
+    /// only through the handle's copies; every index they are given must
+    /// be in bounds; and copies used concurrently must not conflict — a
+    /// cell written through one is neither read nor written through
+    /// another at the same time.
+    ///
+    /// Passing the handle only to the FWI kernel over [`Planner`] tasks
+    /// meets the last two clauses: the kernel's accesses stay inside the
+    /// task's tiles (`cachegraph-analyze` proves it from the kernel
+    /// source), and running the tasks of one phase concurrently, with a
+    /// join between phases, is the phase disjointness the footprint
+    /// oracle proves. Bounds are checked in debug builds only: a release
+    /// check on every access slowed the one-thread n = 1024 BDL solve by
+    /// about 12% on a 2-core x86-64 host.
+    pub(crate) unsafe fn new(data: &'a mut [Weight]) -> Self {
+        Self { ptr: data.as_mut_ptr(), len: data.len(), _data: PhantomData }
+    }
+}
+
+impl CellAccess for SharedStorage<'_> {
     #[inline(always)]
-    unsafe fn read(&self, idx: usize) -> Weight {
+    fn read(&mut self, idx: usize) -> Weight {
         debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and no concurrent writer, per this method's
-        // contract which the caller upholds.
+        // SAFETY: in bounds and no concurrent writer of this cell, by the
+        // contract of `SharedStorage::new`.
         unsafe { *self.ptr.add(idx) }
     }
 
-    /// # Safety
-    /// `idx` must be in bounds and no other thread may be concurrently
-    /// reading or writing the cell at `idx`.
     #[inline(always)]
-    unsafe fn write(&self, idx: usize, v: Weight) {
+    fn write(&mut self, idx: usize, v: Weight) {
         debug_assert!(idx < self.len);
-        // SAFETY: in-bounds and exclusive access to this cell, per this
-        // method's contract which the caller upholds.
+        // SAFETY: in bounds and no concurrent reader or writer of this
+        // cell, by the contract of `SharedStorage::new`.
         unsafe { *self.ptr.add(idx) = v }
     }
 }
 
-/// FWI over raw storage — same operation order as [`crate::fwi`].
-///
-/// # Safety
-/// The A view must not be concurrently accessed by any other thread, the
-/// B/C views must not be concurrently written, and all three views must
-/// lie within `data`'s allocation.
-unsafe fn fwi_raw(data: SharedStorage, a: View, b: View, c: View, size: usize) {
-    // SAFETY: every access below targets a cell of A (exclusively owned by
-    // this task per the function contract) or reads a cell of B/C (stable
-    // during this phase per the contract); `View::at` stays within the
-    // caller-validated tile bounds, so indices are in range.
-    unsafe {
-        for k in 0..size {
-            for i in 0..size {
-                let bik = data.read(b.at(i, k));
-                if bik == INF {
-                    continue;
-                }
-                let c_row = c.at(k, 0);
-                let a_row = a.at(i, 0);
-                for j in 0..size {
-                    let via = bik.saturating_add(data.read(c_row + j));
-                    let idx = a_row + j;
-                    if via < data.read(idx) {
-                        data.write(idx, via);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Run `tasks` across `threads` scoped workers via the shared
-/// [`cachegraph_plan::run_tasks`] executor — the same chunking the
-/// `cachegraph-check` explorer models. Each finished task bumps
-/// `kernel_calls` — a `cachegraph-obs` counter shared across the scoped
-/// threads (a disabled handle reduces to a branch per task).
-fn run_parallel(data: SharedStorage, tasks: &[TileTask], b: usize, threads: usize, kernel_calls: &Counter) {
-    cachegraph_plan::run_tasks(tasks, threads, |t| {
-        // SAFETY: each task's A tile is written by exactly one task in
-        // this phase; B/C tiles are only read and are not any task's A
-        // tile in this phase (proven by the footprint oracle); with one
-        // worker the executor runs tasks inline, single-threaded.
-        unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-        kernel_calls.incr();
-    });
-}
-
-/// The pre-runtime PR 5 phase loop, kept verbatim as the baseline the
-/// `obs_overhead` TaskGraph-dispatch budget compares against. Not part
-/// of the public API surface.
-#[doc(hidden)]
-fn run_parallel_handrolled(
-    data: SharedStorage,
-    tasks: &[TileTask],
-    b: usize,
+/// Runs each phase on [`cachegraph_plan::run_tasks`] workers — the
+/// chunking the `cachegraph-check` explorer models. Kernel events fire on
+/// the calling thread, one per task, before the phase starts.
+struct Chunked<'a> {
+    data: SharedStorage<'a>,
     threads: usize,
-    kernel_calls: &Counter,
-) {
-    if tasks.is_empty() {
-        return;
-    }
-    let threads = threads.min(tasks.len()).max(1);
-    if threads == 1 {
-        for t in tasks {
-            // SAFETY: single-threaded here; views disjoint per task by
-            // construction of the tiled decomposition.
-            unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-            kernel_calls.incr();
-        }
-        return;
-    }
-    let chunk = tasks.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for slice in tasks.chunks(chunk) {
-            let kernel_calls = kernel_calls.clone();
-            s.spawn(move || {
-                for t in slice {
-                    // SAFETY: each task's A tile is written by exactly one
-                    // task in this phase; B/C tiles are only read and are
-                    // not any task's A tile in this phase.
-                    unsafe { fwi_raw(data, t.a, t.b, t.c, b) };
-                    kernel_calls.incr();
-                }
-            });
-        }
-    });
 }
 
-/// [`fw_tiled_parallel`] driven by the hand-rolled PR 5 loop instead of
-/// the shared TaskGraph executor. Exists solely so the dispatch-overhead
-/// benchmark has a baseline; results are identical.
+impl TileExec for Chunked<'_> {
+    fn phase<E>(
+        &mut self,
+        tasks: &[TileTask],
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for _ in tasks {
+            hook(FwEvent::Kernel)?;
+        }
+        let data = self.data;
+        cachegraph_plan::run_tasks(tasks, self.threads, |t| {
+            let mut acc = data;
+            acc.fwi_block(t.a, t.b, t.c, b);
+        });
+        Ok(())
+    }
+}
+
+/// The hand-rolled dispatch of the first parallel driver (one scoped
+/// thread per chunk, inline at one worker), kept only as the executor
+/// the `obs_overhead` TaskGraph dispatch budget compares [`Chunked`]
+/// against.
+struct HandRolled<'a> {
+    data: SharedStorage<'a>,
+    threads: usize,
+}
+
+impl TileExec for HandRolled<'_> {
+    fn phase<E>(
+        &mut self,
+        tasks: &[TileTask],
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for _ in tasks {
+            hook(FwEvent::Kernel)?;
+        }
+        let data = self.data;
+        let run = move |slice: &[TileTask]| {
+            let mut acc = data;
+            for t in slice {
+                acc.fwi_block(t.a, t.b, t.c, b);
+            }
+        };
+        let threads = self.threads.min(tasks.len()).max(1);
+        if threads == 1 {
+            run(tasks);
+            return Ok(());
+        }
+        std::thread::scope(|s| {
+            for slice in tasks.chunks(tasks.len().div_ceil(threads)) {
+                s.spawn(move || run(slice));
+            }
+        });
+        Ok(())
+    }
+}
+
+/// [`fw_tiled_parallel`] driven by the hand-rolled dispatch loop instead
+/// of the shared TaskGraph executor. Exists solely so the
+/// dispatch-overhead benchmark has a baseline; results are identical.
 #[doc(hidden)]
 pub fn fw_tiled_parallel_handrolled<L: StridedView>(m: &mut FwMatrix<L>, b: usize, threads: usize) {
-    let registry = Registry::disabled();
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let n = m.n();
     assert!(threads >= 1, "need at least one thread");
     let layout = m.layout().clone();
-    let planner = Planner::new(&layout, n, b);
-    let storage = m.storage_mut();
-    let data = SharedStorage { ptr: storage.as_mut_ptr(), len: storage.len() };
-
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        let diag = planner.phase1(t);
-        // SAFETY: no other thread is running.
-        unsafe { fwi_raw(data, diag.a, diag.b, diag.c, b) };
-        kernel_calls.incr();
-
-        planner.phase2(t, &mut phase2);
-        run_parallel_handrolled(data, &phase2, b, threads, &kernel_calls);
-
-        planner.phase3(t, &mut phase3);
-        run_parallel_handrolled(data, &phase3, b, threads, &kernel_calls);
-    }
+    let planner = Planner::new(&layout, m.n(), b);
+    // SAFETY: only `drive` uses the handle, running one planner phase at
+    // a time through `HandRolled`, which joins every worker before it
+    // returns; tasks of one phase are disjoint (the footprint oracle).
+    let data = unsafe { SharedStorage::new(m.storage_mut()) };
+    let Ok(()) = drive(&planner, &mut HandRolled { data, threads }, &mut no_hook);
 }
 
 /// Parallel tiled Floyd-Warshall with tile size `b` on `threads` threads.
@@ -201,48 +186,35 @@ pub fn fw_tiled_parallel<L: StridedView>(m: &mut FwMatrix<L>, b: usize, threads:
 
 /// [`fw_tiled_parallel`] reporting into `registry`: a `fw.parallel` root
 /// span with one `block[t]` child per block iteration, and a
-/// `fw.kernel_calls` counter shared across the scoped worker threads.
-/// With a disabled registry every instrumentation point is a branch, so
-/// this *is* the implementation behind [`fw_tiled_parallel`].
+/// `fw.kernel_calls` counter. With a disabled registry every
+/// instrumentation point is a branch, so this *is* the implementation
+/// behind [`fw_tiled_parallel`].
 pub fn fw_tiled_parallel_observed<L: StridedView>(
     m: &mut FwMatrix<L>,
     b: usize,
     threads: usize,
     registry: &Registry,
 ) {
-    let root = registry.span("fw.parallel");
-    let kernel_calls = registry.counter("fw.kernel_calls");
-    let n = m.n();
     assert!(threads >= 1, "need at least one thread");
+    let root = registry.span("fw.parallel");
+    let mut hook = span_hook(&root, "block", registry.counter("fw.kernel_calls"));
     let layout = m.layout().clone();
-    // The planner re-checks the tiling preconditions (padded dimension a
+    // The planner checks the tiling preconditions (padded dimension a
     // multiple of b, layout exposes aligned bxb tiles).
-    let planner = Planner::new(&layout, n, b);
-    let storage = m.storage_mut();
-    let data = SharedStorage { ptr: storage.as_mut_ptr(), len: storage.len() };
-
-    let mut phase2 = Vec::new();
-    let mut phase3 = Vec::new();
-    for t in 0..planner.real_tiles() {
-        let _block = registry.is_enabled().then(|| root.child(&format!("block[{t}]")));
-        let diag = planner.phase1(t);
-        // Phase 1: sequential diagonal tile.
-        // SAFETY: no other thread is running.
-        unsafe { fwi_raw(data, diag.a, diag.b, diag.c, b) };
-        kernel_calls.incr();
-
-        planner.phase2(t, &mut phase2);
-        run_parallel(data, &phase2, b, threads, &kernel_calls);
-
-        planner.phase3(t, &mut phase3);
-        run_parallel(data, &phase3, b, threads, &kernel_calls);
-    }
+    let planner = Planner::new(&layout, m.n(), b);
+    // SAFETY: only `drive` uses the handle, running one planner phase at
+    // a time through `Chunked`, whose `run_tasks` joins every worker
+    // before it returns; tasks of one phase are disjoint (the footprint
+    // oracle), and with one worker they run inline.
+    let data = unsafe { SharedStorage::new(m.storage_mut()) };
+    let Ok(()) = drive(&planner, &mut Chunked { data, threads }, &mut hook);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fw_iterative_slice;
+    use cachegraph_graph::INF;
     use cachegraph_layout::BlockLayout;
     use cachegraph_rng::StdRng;
 

@@ -1,4 +1,4 @@
-//! The per-phase task plan behind the parallel tiled driver.
+//! The per-phase task plan behind every tiled driver.
 //!
 //! One block iteration `t` of the tiled decomposition (Fig. 4) splits
 //! into three phases with a barrier between them: the diagonal tile
@@ -6,13 +6,13 @@
 //! remaining tile. This module builds that plan as *pure data* — for each
 //! task, which tile is written ([`TileTask::a`]) and which are read
 //! ([`TileTask::b`] / [`TileTask::c`]), with the footprints exposed as
-//! explicit flat cell ranges — so the parallel driver
-//! ([`crate::parallel`]), the dynamic disjointness test, and the
-//! `cachegraph-check` model checker all consume the *same* task
-//! construction and cannot drift apart. The driver's `SAFETY:` arguments
-//! are claims about exactly these footprints: within a phase, write
-//! footprints are pairwise disjoint and no task reads another task's
-//! write footprint.
+//! explicit flat cell ranges — so every tiled driver (they all run
+//! the block loop of `tiled.rs` over this plan), the dynamic
+//! disjointness test, and the `cachegraph-check` model checker all
+//! consume the *same* task construction and cannot drift apart. The
+//! parallel driver's `SAFETY:` arguments are claims about exactly these
+//! footprints: within a phase, write footprints are pairwise disjoint
+//! and no task reads another task's write footprint.
 
 use std::ops::Range;
 
@@ -56,10 +56,10 @@ pub fn view_rows(v: View, b: usize) -> impl Iterator<Item = Range<usize>> {
 
 /// Builds the per-phase task plans for one `(layout, n, b)` tiling.
 ///
-/// The parallel driver routes all its task construction through this
-/// type; the disjointness test and the `cachegraph-check` footprint
-/// oracle and schedule explorer build their plans with the very same
-/// calls.
+/// This is the only code that enumerates tiles: every tiled driver
+/// routes its task construction through this type, and the disjointness
+/// test and the `cachegraph-check` footprint oracle and schedule
+/// explorer build their plans with the very same calls.
 pub struct Planner<'l, L: StridedView> {
     layout: &'l L,
     b: usize,

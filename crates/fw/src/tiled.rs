@@ -1,14 +1,31 @@
-//! The tiled implementation (Fig. 4, §3.1.2).
+//! The tiled implementation (Fig. 4, §3.1.2) and the one driver every
+//! tiled entry point runs.
 //!
 //! Correctness comes from the special case of Claim 1 with
 //! `k−1 ≤ k′ ≤ k+B−1`: during block iteration `b`, first the diagonal tile
 //! `(b, b)` is brought fully up to date (self-dependent FWI), then the rest
 //! of row `b` and column `b` (each depends on the diagonal tile), then all
 //! remaining tiles (each depends on its row-`b` and column-`b` tiles).
+//!
+//! [`drive`] is that block loop, and the only one in the crate: the tiles
+//! come from [`Planner`], the model-checked plan. What differs between
+//! entry points is supplied around it:
+//!
+//! * a **hook** sees an [`FwEvent`] at every block start and before every
+//!   kernel call, and can stop the run by returning `Err` (the cancellable
+//!   variant's poll). The plain entry points pass a hook whose error type
+//!   is [`Infallible`], which compiles away;
+//! * a [`TileExec`] runs each phase's tasks: [`Inline`] over any
+//!   [`CellAccess`] (plain, observed, cancellable, simulated and copy
+//!   runs), or the chunked executors of [`crate::parallel`] and
+//!   [`crate::instrumented`].
 
-use crate::kernel::{fwi_access, CellAccess, SliceAccess, StridedView};
+use std::convert::Infallible;
+
+use crate::kernel::{CellAccess, SliceAccess, StridedView};
 use crate::matrix::FwMatrix;
 use crate::observed::FwEvent;
+use crate::plan::{Planner, TileTask};
 
 /// Tiled Floyd-Warshall with tile size `b`. The padded dimension must be a
 /// multiple of `b`, and the layout must expose every aligned `b x b` tile
@@ -26,81 +43,82 @@ pub fn fw_tiled<L: StridedView>(m: &mut FwMatrix<L>, b: usize) {
     run_tiled(&layout, n, &mut SliceAccess(m.storage_mut()), b);
 }
 
-/// Accessor-generic driver behind [`fw_tiled`]; the instrumented
+/// Accessor-generic form of [`fw_tiled`]; the instrumented
 /// (cache-simulated) variant runs the identical decomposition through a
 /// traced accessor.
 pub fn run_tiled<L: StridedView, A: CellAccess>(layout: &L, n: usize, acc: &mut A, b: usize) {
-    run_tiled_with(layout, n, acc, b, &mut |_| {});
+    let Ok(()) = drive(&Planner::new(layout, n, b), &mut Inline(acc), &mut no_hook);
 }
 
-/// [`run_tiled`] with an event hook for observability. The hook is
-/// monomorphized per call site, so the no-op hook of [`run_tiled`]
-/// compiles away entirely; the observed variant
-/// ([`crate::observed::fw_tiled_observed`]) turns events into spans and
-/// counters. Events fire between kernel calls, never inside them — the
-/// FWI kernel itself stays instrumentation-free.
-pub fn run_tiled_with<L: StridedView, A: CellAccess>(
-    layout: &L,
-    n: usize,
-    acc: &mut A,
-    b: usize,
-    hook: &mut impl FnMut(FwEvent),
-) {
-    let p = layout.padded_n();
-    assert!(b >= 1 && p.is_multiple_of(b), "padded size {p} must be a multiple of the tile size {b}");
-    // Every layout in this crate that can express tile (0, 0) as a strided
-    // view can express all aligned in-range tiles, so one check up front
-    // validates the whole decomposition.
-    assert!(
-        layout.view(0, 0, b).is_some(),
-        "layout must expose aligned {b}x{b} tiles (tile size must match the layout's block size)"
-    );
-    // Number of tile rows/cols that contain at least one real vertex.
-    let real_tiles = n.div_ceil(b);
-    let view = |ti: usize, tj: usize| {
-        let v = layout.view(ti * b, tj * b, b);
-        // tidy: allow(panic-policy) -- tiling validated by the assert above
-        v.expect("layout must expose aligned bxb tiles as strided views")
-    };
+/// The hook of the unobserved entry points: never stops the run.
+pub(crate) fn no_hook(_: FwEvent) -> Result<(), Infallible> {
+    Ok(())
+}
 
-    for t in 0..real_tiles {
-        hook(FwEvent::BlockStart(t));
-        let diag = view(t, t);
-        // Phase 1: the diagonal tile, fully self-dependent.
-        hook(FwEvent::Kernel);
-        fwi_access(acc, diag, diag, diag, b);
-        // Phase 2: remainder of row t (C = diagonal) and column t (B = diagonal).
-        for j in 0..real_tiles {
-            if j != t {
-                let a = view(t, j);
-                hook(FwEvent::Kernel);
-                fwi_access(acc, a, diag, a, b);
-            }
-        }
-        for i in 0..real_tiles {
-            if i != t {
-                let a = view(i, t);
-                hook(FwEvent::Kernel);
-                fwi_access(acc, a, a, diag, b);
-            }
-        }
-        // Phase 3: every remaining tile via its row-t and column-t tiles.
-        for i in 0..real_tiles {
-            if i == t {
-                continue;
-            }
-            let bt = view(i, t);
-            for j in 0..real_tiles {
-                if j == t {
-                    continue;
-                }
-                let a = view(i, j);
-                let ct = view(t, j);
-                hook(FwEvent::Kernel);
-                fwi_access(acc, a, bt, ct, b);
-            }
-        }
+/// Runs the tasks of one phase. Tasks of one phase are mutually
+/// independent (the plan's phase disjointness), so an executor may run
+/// them in any order or concurrently; it returns only once all are done.
+pub(crate) trait TileExec {
+    /// Run `tasks` (tile size `b`), calling `hook(FwEvent::Kernel)` once
+    /// per task; an `Err` from the hook stops the phase.
+    fn phase<E>(
+        &mut self,
+        tasks: &[TileTask],
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E>;
+
+    /// Run phase 1, the diagonal task. Executors that place it specially
+    /// override this.
+    fn diag<E>(
+        &mut self,
+        task: TileTask,
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.phase(std::slice::from_ref(&task), b, hook)
     }
+}
+
+/// Runs every task in plan order on the calling thread through one
+/// accessor, with the hook called directly before each kernel call.
+pub(crate) struct Inline<'a, A>(pub &'a mut A);
+
+impl<A: CellAccess> TileExec for Inline<'_, A> {
+    fn phase<E>(
+        &mut self,
+        tasks: &[TileTask],
+        b: usize,
+        hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for t in tasks {
+            hook(FwEvent::Kernel)?;
+            self.0.fwi_block(t.a, t.b, t.c, b);
+        }
+        Ok(())
+    }
+}
+
+/// The block loop of Fig. 4 over `planner`'s tiles: per block iteration
+/// `t`, a [`FwEvent::BlockStart`], then the diagonal task, the row and
+/// column tasks, and the remainder tasks, each phase run to completion by
+/// `exec` before the next starts. Stops at the first hook error.
+pub(crate) fn drive<L: StridedView, X: TileExec, E>(
+    planner: &Planner<'_, L>,
+    exec: &mut X,
+    hook: &mut impl FnMut(FwEvent) -> Result<(), E>,
+) -> Result<(), E> {
+    let b = planner.b();
+    let mut tasks = Vec::new();
+    for t in 0..planner.real_tiles() {
+        hook(FwEvent::BlockStart(t))?;
+        exec.diag(planner.phase1(t), b, hook)?;
+        planner.phase2(t, &mut tasks);
+        exec.phase(&tasks, b, hook)?;
+        planner.phase3(t, &mut tasks);
+        exec.phase(&tasks, b, hook)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

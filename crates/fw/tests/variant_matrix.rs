@@ -6,10 +6,11 @@
 //! failure replays deterministically.
 
 use cachegraph_fw::{
-    fw_iterative, fw_iterative_slice, fw_recursive, fw_tiled, fw_tiled_copy,
-    parallel::fw_tiled_parallel, FwMatrix, INF,
+    fw_iterative, fw_iterative_slice, fw_recursive, fw_tiled, fw_tiled_cancellable, fw_tiled_copy,
+    fw_tiled_observed, parallel::fw_tiled_parallel, FwMatrix, INF,
 };
 use cachegraph_layout::{BlockLayout, RowMajor, ZMorton};
+use cachegraph_obs::Registry;
 use cachegraph_rng::StdRng;
 
 fn baseline(costs: &[u32], n: usize) -> Vec<u32> {
@@ -45,6 +46,25 @@ fn check_all_variants(costs: &[u32], n: usize, b: usize, tag: &str) {
     fw_tiled(&mut m, b);
     assert_eq!(m.to_row_major(), expect, "[{tag}] fw_tiled/BlockLayout n={n} b={b}");
 
+    // Cancellable tiled with a poll that never fires.
+    let mut m = FwMatrix::from_costs(BlockLayout::new(n, b), costs);
+    let r = fw_tiled_cancellable(&mut m, b, &mut || false);
+    assert_eq!(r, Ok(()), "[{tag}] fw_tiled_cancellable n={n} b={b}");
+    assert_eq!(m.to_row_major(), expect, "[{tag}] fw_tiled_cancellable n={n} b={b}");
+
+    // Observed tiled on an enabled registry: one kernel call per
+    // (block iteration, tile) pair over the real tiles.
+    let registry = Registry::new();
+    let mut m = FwMatrix::from_costs(BlockLayout::new(n, b), costs);
+    fw_tiled_observed(&mut m, b, &registry);
+    assert_eq!(m.to_row_major(), expect, "[{tag}] fw_tiled_observed n={n} b={b}");
+    let real_tiles = n.div_ceil(b) as u64;
+    assert_eq!(
+        registry.snapshot().counters.get("fw.kernel_calls"),
+        Some(&(real_tiles * real_tiles * real_tiles)),
+        "[{tag}] fw_tiled_observed kernel calls n={n} b={b}"
+    );
+
     // Row-major tiled variants need n divisible by b (no padding).
     if n.is_multiple_of(b) {
         let mut m = FwMatrix::from_costs(RowMajor::new(n), costs);
@@ -53,6 +73,15 @@ fn check_all_variants(costs: &[u32], n: usize, b: usize, tag: &str) {
         let mut m = FwMatrix::from_costs(RowMajor::new(n), costs);
         fw_tiled_copy(&mut m, b);
         assert_eq!(m.to_row_major(), expect, "[{tag}] fw_tiled_copy n={n} b={b}");
+        for threads in [1, 2] {
+            let mut m = FwMatrix::from_costs(RowMajor::new(n), costs);
+            fw_tiled_parallel(&mut m, b, threads);
+            assert_eq!(
+                m.to_row_major(),
+                expect,
+                "[{tag}] fw_tiled_parallel/RowMajor n={n} b={b} threads={threads}"
+            );
+        }
     }
 
     // Parallel tiled at several thread counts (including more threads

@@ -13,6 +13,8 @@
 //! maximum matching with far less work; it is *not* the paper's baseline
 //! — it exists as an extension and as a differential-testing oracle.
 
+use std::convert::Infallible;
+
 use cachegraph_graph::{Graph, VertexId};
 use cachegraph_plan::{NoSink, UnitSink};
 
@@ -58,16 +60,15 @@ impl Matching {
     }
 }
 
-/// Reusable scratch for the whole-graph augmentation step, so the
-/// plain and cancellable drivers share one iteration body.
-pub(crate) struct AugmentScratch {
+/// Reusable scratch for the whole-graph augmentation step.
+struct AugmentScratch {
     parent: Vec<VertexId>,
     visited: Vec<bool>,
     queue: Vec<VertexId>,
 }
 
 impl AugmentScratch {
-    pub(crate) fn new(n: usize, n_left: usize) -> Self {
+    fn new(n: usize, n_left: usize) -> Self {
         Self { parent: vec![FREE; n], visited: vec![false; n], queue: Vec::with_capacity(n_left) }
     }
 }
@@ -77,22 +78,14 @@ impl AugmentScratch {
 /// right -> left); if an augmenting path exists, flip it and grow `m`
 /// by one. Returns `false` when no augmenting path exists (`m` is
 /// maximum).
-pub(crate) fn augment_once<G: Graph>(
-    g: &G,
-    n_left: usize,
-    m: &mut Matching,
-    s: &mut AugmentScratch,
-) -> bool {
-    augment_once_sink(g, n_left, m, s, &mut NoSink)
-}
-
-/// [`augment_once`] with every access to the `mate` array reported to a
-/// [`UnitSink`] (unit = vertex id). `cachegraph-check`'s matching driver
-/// records these scripts to replay augmentation rounds against shadow
-/// memory, and the differential footprint test compares them with the
-/// declared per-part footprints. The sink is observational only: with
-/// [`NoSink`] this compiles to exactly the un-instrumented round.
-pub(crate) fn augment_once_sink<G: Graph, S: UnitSink>(
+///
+/// Every access to the `mate` array is reported to `sink` (unit =
+/// vertex id). `cachegraph-check`'s matching driver records these
+/// scripts to replay augmentation rounds against shadow memory, and the
+/// differential footprint test compares them with the declared per-part
+/// footprints. The sink is observational only: with [`NoSink`] this
+/// compiles to exactly the un-instrumented round.
+fn augment_once<G: Graph, S: UnitSink>(
     g: &G,
     n_left: usize,
     m: &mut Matching,
@@ -156,13 +149,7 @@ pub(crate) fn augment_once_sink<G: Graph, S: UnitSink>(
 /// augmenting path and flip it, until no augmenting path exists. Left
 /// vertices are `0..n_left`. Returns the (maximum) matching.
 pub fn find_matching<G: Graph>(g: &G, n_left: usize, initial: Matching) -> Matching {
-    let n = g.num_vertices();
-    assert!(n_left <= n, "left side larger than the graph");
-    assert_eq!(initial.mate.len(), n, "initial matching has wrong size");
-    let mut m = initial;
-    let mut scratch = AugmentScratch::new(n, n_left);
-    while augment_once(g, n_left, &mut m, &mut scratch) {}
-    m
+    find_matching_recorded(g, n_left, initial, &mut NoSink)
 }
 
 /// [`find_matching`] with every `mate` access reported to a
@@ -175,13 +162,36 @@ pub fn find_matching_recorded<G: Graph, S: UnitSink>(
     initial: Matching,
     sink: &mut S,
 ) -> Matching {
+    let Ok(m) = run_matching::<G, S, Infallible>(g, n_left, initial, sink, &mut || Ok(()));
+    m
+}
+
+/// The Fig. 8 loop behind [`find_matching`], [`find_matching_recorded`]
+/// and [`find_matching_cancellable`](crate::find_matching_cancellable).
+/// `poll` runs before every augmentation round; an `Err` stops the run
+/// and hands back the partial matching built so far, which is
+/// structurally consistent. With [`NoSink`] and a poll whose error type
+/// is uninhabited, both hooks compile away.
+pub(crate) fn run_matching<G: Graph, S: UnitSink, E>(
+    g: &G,
+    n_left: usize,
+    initial: Matching,
+    sink: &mut S,
+    poll: &mut impl FnMut() -> Result<(), E>,
+) -> Result<Matching, (E, Matching)> {
     let n = g.num_vertices();
     assert!(n_left <= n, "left side larger than the graph");
     assert_eq!(initial.mate.len(), n, "initial matching has wrong size");
     let mut m = initial;
     let mut scratch = AugmentScratch::new(n, n_left);
-    while augment_once_sink(g, n_left, &mut m, &mut scratch, sink) {}
-    m
+    loop {
+        if let Err(e) = poll() {
+            return Err((e, m));
+        }
+        if !augment_once(g, n_left, &mut m, &mut scratch, sink) {
+            return Ok(m);
+        }
+    }
 }
 
 /// Scratch space for [`find_matching_fast`], reused across searches.

@@ -1,6 +1,6 @@
 //! Cancellable matching for deadline-propagating callers.
 //!
-//! [`find_matching_cancellable`] runs exactly the Fig. 8 loop of
+//! [`find_matching_cancellable`] runs the one Fig. 8 loop behind
 //! [`find_matching`](crate::find_matching), polling a cancellation
 //! closure *between* augmentation rounds — the natural boundary: each
 //! round is one whole-graph BFS plus one path flip, so the matching is
@@ -16,8 +16,9 @@
 //! trace tag: one count per augmentation round.
 
 use cachegraph_graph::Graph;
+use cachegraph_plan::NoSink;
 
-use crate::augmenting::{augment_once, AugmentScratch, Matching};
+use crate::augmenting::{run_matching, Matching};
 
 /// The search was cancelled between augmentation rounds; the carried
 /// matching is valid but may not be maximum.
@@ -43,19 +44,9 @@ pub fn find_matching_cancellable<G: Graph>(
     initial: Matching,
     cancel: &mut impl FnMut() -> bool,
 ) -> Result<Matching, MatchCancelled> {
-    let n = g.num_vertices();
-    assert!(n_left <= n, "left side larger than the graph");
-    assert_eq!(initial.mate.len(), n, "initial matching has wrong size");
-    let mut m = initial;
-    let mut scratch = AugmentScratch::new(n, n_left);
-    loop {
-        if cancel() {
-            return Err(MatchCancelled { partial: m });
-        }
-        if !augment_once(g, n_left, &mut m, &mut scratch) {
-            return Ok(m);
-        }
-    }
+    let poll = &mut || if cancel() { Err(()) } else { Ok(()) };
+    run_matching(g, n_left, initial, &mut NoSink, poll)
+        .map_err(|((), partial)| MatchCancelled { partial })
 }
 
 #[cfg(test)]

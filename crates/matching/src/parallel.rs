@@ -5,11 +5,11 @@
 //! entries, so the per-part solves are independent tasks with disjoint
 //! declared footprints (unit `v` = `mate[v]`). This driver runs them on
 //! [`cachegraph_plan::run_tasks_mut`] scoped workers, merges the local
-//! matchings **serially in part order** (the exact statements of
-//! [`find_matching_partitioned`](crate::find_matching_partitioned)), and
-//! finishes with the same serial global pass — so the result, `mate`
-//! array included, is bit-identical to the serial partitioned driver for
-//! every thread count.
+//! matchings **serially in part order**, and finishes with a serial
+//! global pass — so the result, `mate` array included, is bit-identical
+//! for every thread count, and
+//! [`find_matching_partitioned`](crate::find_matching_partitioned) is
+//! this driver at one thread.
 //!
 //! The global pass is a single task whose footprint is the whole `mate`
 //! array; it must sit in its own phase. `cachegraph-check`'s matching
@@ -25,9 +25,8 @@ use cachegraph_plan::{run_tasks_mut, TaskFootprint, TaskGraph};
 
 use crate::augmenting::Matching;
 use crate::cancel::{find_matching_cancellable, MatchCancelled};
-use crate::partitioned::{
-    build_local_parts, merge_local, LocalPart, PartitionScheme, PartitionedStats,
-};
+use crate::partitioned::{build_local_parts, LocalPart, PartitionScheme, PartitionedStats};
+use crate::FREE;
 
 /// The task plan of a partitioned matching run: the sub-problems of the
 /// local phase plus the whole-graph global pass.
@@ -137,13 +136,17 @@ pub fn find_matching_partitioned_parallel_cancellable(
         return Err(MatchCancelled { partial: Matching::empty(n) });
     }
 
-    // Serial merge in part order: same statements, same result as the
-    // serial driver.
+    // Serial merge in part order: the same union for every thread count.
     let mut union = Matching::empty(n);
-    for (k, solved) in &solves {
-        if let Some(local) = solved {
-            merge_local(&plan.parts[*k], local, &mut union);
+    for (part, solved) in plan.parts.iter().zip(&solves) {
+        let Some(local) = &solved.1 else { continue };
+        for (lv, &gv) in part.members.iter().enumerate() {
+            let lm = local.mate[lv];
+            if lm != FREE {
+                union.mate[gv as usize] = part.members[lm as usize];
+            }
         }
+        union.size += local.size;
     }
     let stats = PartitionedStats {
         local_matched: union.size,

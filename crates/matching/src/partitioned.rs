@@ -1,9 +1,10 @@
 //! The cache-friendly matching implementation (Fig. 9):
 //! partition → solve locally → union → finish globally.
 
-use cachegraph_graph::{AdjacencyArray, Edge, Graph, VertexId};
+use cachegraph_graph::{AdjacencyArray, Edge, VertexId};
 
 use crate::augmenting::{find_matching, Matching};
+use crate::parallel::find_matching_partitioned_parallel;
 use crate::partition::two_way_partition;
 use crate::FREE;
 
@@ -68,31 +69,16 @@ pub(crate) fn assign_parts(
 /// the sub-problems are carved. Partitioning and sub-graph construction
 /// happen inside this function — they are part of the optimization's cost,
 /// exactly as in the paper's measurements.
+///
+/// This is [`find_matching_partitioned_parallel`] at one thread, where
+/// the local solves run inline in part order.
 pub fn find_matching_partitioned(
     g: &AdjacencyArray,
     n_left: usize,
     edges: &[Edge],
     scheme: PartitionScheme,
 ) -> (Matching, PartitionedStats) {
-    let n = g.num_vertices();
-    let (parts, internal) = build_local_parts(n, n_left, edges, scheme);
-
-    // Phase 1: local matchings (working sets sized to the cache).
-    let mut union = Matching::empty(n);
-    for part in &parts {
-        if let Some(local) = part.solve() {
-            merge_local(part, &local, &mut union);
-        }
-    }
-    let stats = PartitionedStats {
-        local_matched: union.size,
-        internal_edges: internal,
-        parts: parts.len(),
-    };
-
-    // Phase 2: finish on the whole graph from the union.
-    let m = find_matching(g, n_left, union);
-    (m, stats)
+    find_matching_partitioned_parallel(g, n_left, edges, scheme, 1)
 }
 
 /// One sub-problem of the Fig. 9 decomposition: the vertices of a part
@@ -110,8 +96,7 @@ pub struct LocalPart {
 
 impl LocalPart {
     /// A part contributes a local solve only if it has vertices and
-    /// internal edges; otherwise it is skipped (the serial driver's
-    /// `continue`).
+    /// internal edges; otherwise it is skipped.
     pub fn is_trivial(&self) -> bool {
         self.members.is_empty() || self.edges.is_empty()
     }
@@ -127,11 +112,9 @@ impl LocalPart {
     }
 }
 
-/// Carve the graph into per-part sub-problems under `scheme`: the
-/// shared front half of [`find_matching_partitioned`] and its parallel
-/// counterpart
-/// ([`find_matching_partitioned_parallel`](crate::find_matching_partitioned_parallel)).
-/// Returns the parts and the internal-edge count.
+/// Carve the graph into per-part sub-problems under `scheme`: the front
+/// half of [`find_matching_partitioned_parallel`]. Returns the parts and
+/// the internal-edge count.
 pub fn build_local_parts(
     n: usize,
     n_left: usize,
@@ -184,18 +167,6 @@ pub fn build_local_parts(
         .map(|((members, left_count), edges)| LocalPart { members, left_count, edges })
         .collect();
     (parts, internal)
-}
-
-/// Write a solved part's matching into the global union — the serial
-/// driver's exact merge statements, shared with the parallel driver.
-pub(crate) fn merge_local(part: &LocalPart, local: &Matching, union: &mut Matching) {
-    for (lv, &gv) in part.members.iter().enumerate() {
-        let lm = local.mate[lv];
-        if lm != FREE {
-            union.mate[gv as usize] = part.members[lm as usize];
-        }
-    }
-    union.size += local.size;
 }
 
 #[cfg(test)]

@@ -30,16 +30,14 @@
 //! propagated down as a `Fn() -> bool + Sync` hook that parallel
 //! drivers poll from every worker.
 
-use cachegraph_fw::{
-    fw_tiled_cancellable, transitive_closure_tiled_parallel, BitMatrix, FwMatrix,
-};
+use cachegraph_fw::{fw_tiled, transitive_closure_tiled_parallel, BitMatrix, FwMatrix};
 use cachegraph_graph::{
     generators, AdjacencyArray, Edge, EdgeListBuilder, VertexId, Weight, INF,
 };
 use cachegraph_layout::BlockLayout;
 use cachegraph_matching::{find_matching_partitioned_parallel_cancellable, PartitionScheme};
 use cachegraph_obs::Json;
-use cachegraph_sssp::{delta_stepping_parallel_cancellable, dijkstra_to};
+use cachegraph_sssp::{delta_stepping_parallel_cancellable, dijkstra_binary_heap, dijkstra_to};
 use std::sync::Mutex;
 use std::sync::{MutexGuard, PoisonError};
 
@@ -192,9 +190,7 @@ impl QueryEngine {
             *cell = (*cell).min(e.weight);
         }
         let mut m = FwMatrix::from_costs(BlockLayout::new(n, cfg.tile), &costs);
-        fw_tiled_cancellable(&mut m, cfg.tile, &mut || false)
-            // tidy: allow(panic-policy) -- a never-firing closure cannot cancel
-            .expect("uncancellable precompute cannot be cancelled");
+        fw_tiled(&mut m, cfg.tile);
         m.to_row_major()
     }
 
@@ -208,14 +204,11 @@ impl QueryEngine {
             reversed.add(e.to, e.from, e.weight);
         }
         let rgraph = reversed.build_array();
-        let mut never = || false;
         (0..k)
             .map(|i| {
                 let l = (i * n / k) as VertexId;
-                // tidy: allow(panic-policy) -- never-firing closures cannot cancel
-                let from = dijkstra_to(graph, l, None, &mut never).expect("uncancellable").dist;
-                // tidy: allow(panic-policy) -- never-firing closures cannot cancel
-                let to = dijkstra_to(&rgraph, l, None, &mut never).expect("uncancellable").dist;
+                let from = dijkstra_binary_heap(graph, l).dist;
+                let to = dijkstra_binary_heap(&rgraph, l).dist;
                 Landmark { from, to }
             })
             .collect()

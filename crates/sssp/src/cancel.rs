@@ -1,9 +1,9 @@
 //! Cancellable Dijkstra for deadline-propagating callers.
 //!
 //! The serve daemon must never let a long query hang a worker past its
-//! deadline: [`dijkstra_cancellable`] is the paper-faithful
-//! [`dijkstra`](crate::dijkstra) loop with two additions, neither of
-//! which touches the kernel's access pattern:
+//! deadline: [`dijkstra_cancellable`] runs the one Fig. 7 loop behind
+//! [`dijkstra`](crate::dijkstra) with its two additions switched on,
+//! neither of which touches the kernel's access pattern:
 //!
 //! * a *cancellation check* polled every [`CANCEL_CHECK_INTERVAL`]
 //!   extract-mins (the "bucket boundary" — checking per relaxation
@@ -22,11 +22,10 @@
 //! count per [`CANCEL_CHECK_INTERVAL`] extract-mins, so a request
 //! trace exposes how often a query could have been abandoned.
 
-use cachegraph_graph::{Graph, VertexId, Weight, INF};
+use cachegraph_graph::{Graph, VertexId, Weight};
 use cachegraph_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
-use crate::dijkstra::SsspResult;
-use crate::NO_VERTEX;
+use crate::dijkstra::{run_dijkstra, SsspResult};
 
 /// Extract-mins between cancellation polls.
 pub const CANCEL_CHECK_INTERVAL: usize = 64;
@@ -56,42 +55,13 @@ pub fn dijkstra_cancellable<G: Graph, Q: DecreaseKeyQueue>(
     target: Option<VertexId>,
     cancel: &mut impl FnMut() -> bool,
 ) -> Result<SsspResult, Cancelled> {
-    let n = g.num_vertices();
-    assert!((source as usize) < n, "source out of range");
-    if let Some(t) = target {
-        assert!((t as usize) < n, "target out of range");
-    }
-    let mut dist = vec![INF; n];
-    let mut pred = vec![NO_VERTEX; n];
-    let mut q = Q::with_capacity(n);
-    for v in 0..n as VertexId {
-        q.insert(v, if v == source { 0 } else { INF });
-    }
-    dist[source as usize] = 0;
-    let mut since_check = 0usize;
-    while let Some((u, du)) = q.extract_min() {
-        if du == INF {
-            break; // remaining vertices unreachable
+    run_dijkstra::<G, Q, Cancelled>(g, source, target, &mut || {
+        if cancel() {
+            Err(Cancelled)
+        } else {
+            Ok(())
         }
-        since_check += 1;
-        if since_check >= CANCEL_CHECK_INTERVAL {
-            since_check = 0;
-            if cancel() {
-                return Err(Cancelled);
-            }
-        }
-        dist[u as usize] = du;
-        if target == Some(u) {
-            break; // target settled: its distance is final
-        }
-        for (v, w) in g.neighbors(u) {
-            let nd = du.saturating_add(w);
-            if q.decrease_key(v, nd) {
-                pred[v as usize] = u;
-            }
-        }
-    }
-    Ok(SsspResult { dist, pred })
+    })
 }
 
 /// [`dijkstra_cancellable`] with the standard indexed binary heap.

@@ -1,8 +1,11 @@
 //! Dijkstra's algorithm (Fig. 7), generic over representation and queue.
 
+use std::convert::Infallible;
+
 use cachegraph_graph::{Graph, VertexId, Weight, INF};
 use cachegraph_pq::{DecreaseKeyQueue, IndexedBinaryHeap};
 
+use crate::cancel::CANCEL_CHECK_INTERVAL;
 use crate::NO_VERTEX;
 
 /// Distances and shortest-path tree from one source.
@@ -21,8 +24,27 @@ pub struct SsspResult {
 /// (decrease-keys) are performed. The graph representation is streamed
 /// once — each adjacency is touched exactly one time.
 pub fn dijkstra<G: Graph, Q: DecreaseKeyQueue>(g: &G, source: VertexId) -> SsspResult {
+    let Ok(r) = run_dijkstra::<G, Q, Infallible>(g, source, None, &mut || Ok(()));
+    r
+}
+
+/// The Fig. 7 loop behind [`dijkstra`] and
+/// [`dijkstra_cancellable`](crate::dijkstra_cancellable). `poll` runs
+/// every [`CANCEL_CHECK_INTERVAL`] extract-mins, and an `Err` ends the
+/// search; the search also ends once `target` is settled. With no target
+/// and a poll whose error type is uninhabited, both checks compile away.
+#[inline]
+pub(crate) fn run_dijkstra<G: Graph, Q: DecreaseKeyQueue, E>(
+    g: &G,
+    source: VertexId,
+    target: Option<VertexId>,
+    poll: &mut impl FnMut() -> Result<(), E>,
+) -> Result<SsspResult, E> {
     let n = g.num_vertices();
     assert!((source as usize) < n, "source out of range");
+    if let Some(t) = target {
+        assert!((t as usize) < n, "target out of range");
+    }
     let mut dist = vec![INF; n];
     let mut pred = vec![NO_VERTEX; n];
     let mut q = Q::with_capacity(n);
@@ -30,12 +52,20 @@ pub fn dijkstra<G: Graph, Q: DecreaseKeyQueue>(g: &G, source: VertexId) -> SsspR
         q.insert(v, if v == source { 0 } else { INF });
     }
     dist[source as usize] = 0;
+    let mut since_check = 0usize;
     while let Some((u, du)) = q.extract_min() {
         if du == INF {
-            // Remaining vertices are unreachable.
-            break;
+            break; // remaining vertices unreachable
+        }
+        since_check += 1;
+        if since_check >= CANCEL_CHECK_INTERVAL {
+            since_check = 0;
+            poll()?;
         }
         dist[u as usize] = du;
+        if target == Some(u) {
+            break; // target settled: its distance is final
+        }
         for (v, w) in g.neighbors(u) {
             let nd = du.saturating_add(w);
             if q.decrease_key(v, nd) {
@@ -43,7 +73,7 @@ pub fn dijkstra<G: Graph, Q: DecreaseKeyQueue>(g: &G, source: VertexId) -> SsspR
             }
         }
     }
-    SsspResult { dist, pred }
+    Ok(SsspResult { dist, pred })
 }
 
 /// [`dijkstra`] with the standard indexed binary heap.
