@@ -11,6 +11,11 @@ echo "==> cargo build perfbench (benchmark harness, its own workspace)"
 # a rename fail CI instead of the benchmark run.
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> perfbench self-test (deterministic rows repeat exactly)"
+# Two traced sssp-sparse runs on one seed: every deterministic row
+# (cache_sim.*, sssp.reached, the matching fractions) must match.
+python3 perfbench/run.py --self-test --workload sssp-sparse --seed 1 --seconds 1
+
 echo "==> cargo test -q"
 cargo test -q --workspace
 

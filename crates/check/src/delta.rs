@@ -1,15 +1,18 @@
 //! Model checker for the delta-stepping SSSP driver
 //! (`cachegraph_sssp::delta`).
 //!
-//! Re-executes the driver's bucket loop serially, and for every inner
-//! iteration: proves the declared gather/scatter footprints disjoint
-//! (oracle), records each task's real access script through the
-//! driver's own sink-generic task bodies, and replays both phases
-//! against shadow memory over enumerated/sampled interleavings. In
-//! mutation mode ([`ExploreOptions::merge_phases`]) the barrier between
-//! gather and scatter is omitted — scatter's proposal-slot reads then
-//! collide with gather's same-phase writes, which the shadow must
-//! report on every schedule including the canonical one.
+//! Re-executes the driver's bucket loop serially — through the driver's
+//! own `take_frontier` and `push_improved`, so frontier dedup and
+//! bucket-push order cannot drift — and for every inner iteration:
+//! proves the declared gather/scatter footprints disjoint (oracle),
+//! records each task's real access script through the driver's own
+//! sink-generic task bodies (gather binning proposals into per-owner
+//! inboxes, each scatter task reading only its own), and replays both
+//! phases against shadow memory over enumerated/sampled interleavings.
+//! In mutation mode ([`ExploreOptions::merge_phases`]) the barrier
+//! between gather and scatter is omitted — scatter's proposal-slot
+//! reads then collide with gather's same-phase writes, which the shadow
+//! must report on every schedule including the canonical one.
 //!
 //! Drift guard: the serially re-executed distances must equal
 //! Dijkstra's, and `dist`/`pred` must be bit-identical to the real
@@ -17,7 +20,7 @@
 
 use cachegraph_graph::{generators, VertexId, Weight, INF};
 use cachegraph_rng::StdRng;
-use cachegraph_sssp::delta::{gather_task, scatter_task, Proposal};
+use cachegraph_sssp::delta::{gather_task, push_improved, scatter_task, take_frontier, Proposal};
 use cachegraph_sssp::{
     delta_stepping_parallel, dijkstra_binary_heap, DeltaPhasePlan, NO_VERTEX,
 };
@@ -82,18 +85,7 @@ pub fn check_delta_on(
     let mut iter = 0usize;
     while cur < buckets.len() {
         while !buckets[cur].is_empty() {
-            let raw = std::mem::take(&mut buckets[cur]);
-            let mut frontier: Vec<VertexId> = Vec::with_capacity(raw.len());
-            for v in raw {
-                let vi = v as usize;
-                if !in_frontier[vi] && dist[vi] != INF && (dist[vi] / cfg.delta) as usize == cur {
-                    in_frontier[vi] = true;
-                    frontier.push(v);
-                }
-            }
-            for &v in &frontier {
-                in_frontier[v as usize] = false;
-            }
+            let frontier = take_frontier(&mut buckets[cur], cur, &dist, cfg.delta, &mut in_frontier);
             if frontier.is_empty() {
                 continue;
             }
@@ -104,19 +96,17 @@ pub fn check_delta_on(
 
             // Record the gather phase (serial execution = canonical).
             let gn = plan.gather_chunks.len();
-            let mut gathers: Vec<Vec<Proposal>> = vec![Vec::new(); gn];
+            let sn = plan.owned.len();
+            let mut gathers: Vec<Vec<Vec<Proposal>>> = vec![vec![Vec::new(); sn]; gn];
             let mut gather_phase = PhaseScripts::empty("gather", gn);
             for (t, out) in gathers.iter_mut().enumerate() {
                 let mut sink = ScriptSink { script: &mut gather_phase.scripts[t] };
                 gather_task(g, &plan, t, &dist, out, &mut sink);
             }
-            let proposals: Vec<&[Proposal]> = gathers.iter().map(|v| v.as_slice()).collect();
 
             // Record the scatter phase while applying the real updates.
-            let sn = plan.owned.len();
             let mut scatter_phase = PhaseScripts::empty("scatter", sn);
-            let mut improved: Vec<Vec<bool>> =
-                plan.owned.iter().map(|r| vec![false; r.end - r.start]).collect();
+            let mut improved: Vec<Vec<VertexId>> = vec![Vec::new(); sn];
             {
                 let mut drest: &mut [Weight] = &mut dist;
                 let mut prest: &mut [VertexId] = &mut pred;
@@ -126,8 +116,9 @@ pub fn check_delta_on(
                     let (p, pnext) = prest.split_at_mut(len);
                     drest = dnext;
                     prest = pnext;
+                    let inbox: Vec<&[Proposal]> = gathers.iter().map(|o| o[t].as_slice()).collect();
                     let mut sink = ScriptSink { script: &mut scatter_phase.scripts[t] };
-                    scatter_task(&plan, t, &proposals, d, p, &mut improved[t], &mut sink);
+                    scatter_task(&plan, t, &inbox, d, p, &mut improved[t], &mut sink);
                 }
             }
 
@@ -145,18 +136,9 @@ pub fn check_delta_on(
                 report.absorb(format!("iter {iter} scatter"), &out, &ss);
             }
 
-            // Merge bucket pushes in owned-range order.
-            for (imp, r) in improved.iter().zip(&plan.owned) {
-                for (i, &f) in imp.iter().enumerate() {
-                    if f {
-                        let v = r.start + i;
-                        let b = (dist[v] / cfg.delta) as usize;
-                        if b >= buckets.len() {
-                            buckets.resize(b + 1, Vec::new());
-                        }
-                        buckets[b].push(v as VertexId);
-                    }
-                }
+            // Bucket pushes in owned-range order, as the driver does.
+            for imp in &improved {
+                push_improved(&mut buckets, imp, &dist, cfg.delta);
             }
             iter += 1;
         }

@@ -41,7 +41,7 @@ fn delta_gather_recorded_equals_declared_reads() {
         for t in 0..plan.gather_chunks.len() {
             let declared = plan.gather_footprint(&g, t);
             let mut rec = UnitRecorder::new();
-            let mut out: Vec<Proposal> = Vec::new();
+            let mut out: Vec<Vec<Proposal>> = vec![Vec::new(); plan.owned.len()];
             gather_task(&g, &plan, t, &dist, &mut out, &mut rec);
             // Gather reads every frontier dist entry and every edge
             // target unconditionally: recorded reads are EXACTLY the
@@ -56,6 +56,14 @@ fn delta_gather_recorded_equals_declared_reads() {
                 rec.writes.is_subset(&declared.writes),
                 "seed {seed:#x} gather task {t}: write outside declared slots"
             );
+            // Every proposal lands in the inbox of the range owning its
+            // target.
+            for (o, inbox) in out.iter().enumerate() {
+                assert!(
+                    inbox.iter().all(|p| plan.owned[o].contains(&(p.v as usize))),
+                    "seed {seed:#x} gather task {t}: proposal in the wrong inbox {o}"
+                );
+            }
         }
     }
 }
@@ -64,19 +72,18 @@ fn delta_gather_recorded_equals_declared_reads() {
 fn delta_scatter_recorded_within_declared() {
     for seed in [0x5eed, 0xace0, 0xbeef] {
         let (g, plan, mut dist, mut pred) = delta_state(seed);
-        let mut gathers: Vec<Vec<Proposal>> = vec![Vec::new(); plan.gather_chunks.len()];
+        let mut gathers: Vec<Vec<Vec<Proposal>>> =
+            vec![vec![Vec::new(); plan.owned.len()]; plan.gather_chunks.len()];
         for (t, out) in gathers.iter_mut().enumerate() {
             gather_task(&g, &plan, t, &dist, out, &mut cachegraph_plan::NoSink);
         }
-        let proposals: Vec<&[Proposal]> = gathers.iter().map(|v| v.as_slice()).collect();
         // Gather emits a proposal only for improving edges, so the slots
-        // every scatter task scans are the produced ones, a subset of
-        // the declared slot space.
-        let produced_slots: BTreeSet<u64> = gathers
-            .iter()
-            .flatten()
-            .map(|p| plan.slot_unit(p.slot as usize))
-            .collect();
+        // scatter reads are the produced ones, a subset of the declared
+        // slot space.
+        let produced: Vec<Proposal> = gathers.iter().flatten().flatten().copied().collect();
+        let produced_slots: BTreeSet<u64> =
+            produced.iter().map(|p| plan.slot_unit(p.slot as usize)).collect();
+        let mut seen_slots: BTreeSet<u64> = BTreeSet::new();
         let mut drest: &mut [u32] = &mut dist;
         let mut prest: &mut [u32] = &mut pred;
         for (t, r) in plan.owned.iter().enumerate() {
@@ -86,28 +93,42 @@ fn delta_scatter_recorded_within_declared() {
             let (p, pnext) = prest.split_at_mut(len);
             drest = dnext;
             prest = pnext;
-            let mut improved = vec![false; len];
+            let inbox: Vec<&[Proposal]> = gathers.iter().map(|o| o[t].as_slice()).collect();
+            let mut improved = Vec::new();
             let mut rec = UnitRecorder::new();
-            scatter_task(&plan, t, &proposals, d, p, &mut improved, &mut rec);
+            scatter_task(&plan, t, &inbox, d, p, &mut improved, &mut rec);
             assert!(
                 rec.within(&declared),
                 "seed {seed:#x} scatter task {t}: access outside declared footprint"
             );
-            // Every scatter task scans ALL produced proposals, so the
-            // slot portion of its recorded reads is exactly the
-            // produced-slot set — identical across tasks.
+            // Each scatter task reads exactly the produced slots whose
+            // target lies in its owned range: no more (no scan of other
+            // ranges' proposals), no less (no proposal dropped).
             let slot_reads: BTreeSet<u64> =
                 rec.reads.iter().copied().filter(|&u| u as usize >= plan.n).collect();
+            let owned_slots: BTreeSet<u64> = produced
+                .iter()
+                .filter(|p| r.contains(&(p.v as usize)))
+                .map(|p| plan.slot_unit(p.slot as usize))
+                .collect();
             assert_eq!(
-                slot_reads, produced_slots,
-                "seed {seed:#x} scatter task {t}: slot scan incomplete"
+                slot_reads, owned_slots,
+                "seed {seed:#x} scatter task {t}: slot reads != produced slots it owns"
             );
+            // ... and no slot is read by two scatter tasks.
+            assert!(
+                seen_slots.is_disjoint(&slot_reads),
+                "seed {seed:#x} scatter task {t}: slot read by an earlier task too"
+            );
+            seen_slots.extend(slot_reads);
             // Writes stay inside the owned vertex range.
             assert!(
                 rec.writes.iter().all(|&u| (u as usize) >= r.start && (u as usize) < r.end),
                 "seed {seed:#x} scatter task {t}: write outside owned range"
             );
         }
+        // Together the tasks read every produced proposal exactly once.
+        assert_eq!(seen_slots, produced_slots, "seed {seed:#x}: a produced slot went unread");
     }
 }
 

@@ -18,12 +18,12 @@
 //! interleavings, and detects the seeded mutation that merges the global
 //! pass into the local phase.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::convert::Infallible;
 
 use cachegraph_graph::{AdjacencyArray, Edge, Graph};
 use cachegraph_plan::{run_tasks_mut, TaskFootprint, TaskGraph};
 
-use crate::augmenting::Matching;
+use crate::augmenting::{find_matching, Matching};
 use crate::cancel::{find_matching_cancellable, MatchCancelled};
 use crate::partitioned::{build_local_parts, LocalPart, PartitionScheme, PartitionedStats};
 use crate::FREE;
@@ -89,13 +89,9 @@ pub fn find_matching_partitioned_parallel(
     scheme: PartitionScheme,
     threads: usize,
 ) -> (Matching, PartitionedStats) {
-    match find_matching_partitioned_parallel_cancellable(g, n_left, edges, scheme, threads, &|| {
-        false
-    }) {
-        Ok(r) => r,
-        // tidy: allow(panic-policy) — the never-cancelling hook makes Err unreachable.
-        Err(_) => unreachable!("matching cancelled without a cancel hook"),
-    }
+    let Ok((union, stats)) =
+        local_phase::<Infallible>(g, n_left, edges, scheme, threads, &|| Ok(()));
+    (find_matching(g, n_left, union), stats)
 }
 
 /// [`find_matching_partitioned_parallel`] with deadline propagation:
@@ -111,35 +107,44 @@ pub fn find_matching_partitioned_parallel_cancellable(
     threads: usize,
     cancel: &(impl Fn() -> bool + Sync),
 ) -> Result<(Matching, PartitionedStats), MatchCancelled> {
+    let poll = || if cancel() { Err(()) } else { Ok(()) };
+    let (union, stats) = local_phase(g, n_left, edges, scheme, threads, &poll)
+        .map_err(|()| MatchCancelled { partial: Matching::empty(g.num_vertices()) })?;
+    let m = find_matching_cancellable(g, n_left, union, &mut || cancel())?;
+    Ok((m, stats))
+}
+
+/// Phase 1 of both entry points, plus the serial merge: the union of
+/// the per-part local matchings and the partition statistics. `poll`
+/// runs on the coordinator before the phase and on every worker before
+/// its solve; an `Err` ends the phase. With a poll whose error type is
+/// uninhabited, every check compiles away.
+fn local_phase<E: Send>(
+    g: &AdjacencyArray,
+    n_left: usize,
+    edges: &[Edge],
+    scheme: PartitionScheme,
+    threads: usize,
+    poll: &(impl Fn() -> Result<(), E> + Sync),
+) -> Result<(Matching, PartitionedStats), E> {
     assert!(threads >= 1, "need at least one thread");
     let n = g.num_vertices();
     let (plan, internal) = MatchingPartPlan::new(n, n_left, edges, scheme);
-    if cancel() {
-        return Err(MatchCancelled { partial: Matching::empty(n) });
-    }
+    poll()?;
 
-    // Phase 1: independent local solves, one task per part.
-    let cancelled = AtomicBool::new(false);
-    let mut solves: Vec<(usize, Option<Matching>)> =
-        (0..plan.parts.len()).map(|k| (k, None)).collect();
+    // Independent local solves, one task per part.
+    let mut solves: Vec<Result<Option<Matching>, E>> =
+        plan.parts.iter().map(|_| Ok(None)).collect();
     {
         let parts = &plan.parts;
-        run_tasks_mut(&mut solves, threads, |_, (k, out)| {
-            if cancel() {
-                cancelled.store(true, Ordering::Relaxed);
-                return;
-            }
-            *out = parts[*k].solve();
-        });
+        run_tasks_mut(&mut solves, threads, |k, out| *out = poll().map(|()| parts[k].solve()));
     }
-    if cancelled.load(Ordering::Relaxed) {
-        return Err(MatchCancelled { partial: Matching::empty(n) });
-    }
+    let solves: Vec<Option<Matching>> = solves.into_iter().collect::<Result<_, E>>()?;
 
     // Serial merge in part order: the same union for every thread count.
     let mut union = Matching::empty(n);
     for (part, solved) in plan.parts.iter().zip(&solves) {
-        let Some(local) = &solved.1 else { continue };
+        let Some(local) = solved else { continue };
         for (lv, &gv) in part.members.iter().enumerate() {
             let lm = local.mate[lv];
             if lm != FREE {
@@ -153,11 +158,7 @@ pub fn find_matching_partitioned_parallel_cancellable(
         internal_edges: internal,
         parts: plan.parts.len(),
     };
-
-    // Phase 2: the serial global pass, polling between rounds.
-    let mut poll = || cancel();
-    let m = find_matching_cancellable(g, n_left, union, &mut poll)?;
-    Ok((m, stats))
+    Ok((union, stats))
 }
 
 #[cfg(test)]

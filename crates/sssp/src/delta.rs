@@ -4,27 +4,40 @@
 //!
 //! Vertices are grouped into buckets of width `delta` by tentative
 //! distance. One *inner iteration* takes the current bucket's frontier
-//! and runs two phases with declared, disjoint footprints:
+//! ([`take_frontier`]) and runs two phases with declared, disjoint
+//! footprints:
 //!
 //! * **gather** — the frontier is split into contiguous chunks, one task
 //!   per worker. Each task scans its frontier vertices' out-edges and
-//!   appends *proposals* (`(v, dist, pred, slot)`) to a private vector.
-//!   Tasks read the distance array and write only their own slot range
-//!   (slot = position of the edge in the frontier's concatenated edge
-//!   list), so writes are disjoint by construction.
+//!   appends *proposals* (`(v, dist, pred, slot)`) to a private
+//!   per-owner *inbox*: `out[o]` collects the proposals whose target `v`
+//!   lies in scatter task `o`'s owned range. Tasks read the distance
+//!   array and write only their own slot range (slot = position of the
+//!   edge in the frontier's concatenated edge list, planned from
+//!   `Graph::degree`), so writes are disjoint by construction.
 //! * **scatter** — the vertex range `0..n` is split into fixed contiguous
-//!   *owned* ranges, one task per worker. Each task scans **all**
-//!   proposals in gather-task order and applies the strict-min update to
-//!   the vertices it owns. Writes are confined to the owned range, so
-//!   again disjoint by construction.
+//!   *owned* ranges, one task per worker. Task `t` reads only its own
+//!   inboxes, `inbox[g][t]` for every gather task `g` in gather order,
+//!   and applies the strict-min update to the vertices it owns,
+//!   recording each improved vertex id in a private list. Every
+//!   proposal is read by exactly one scatter task, and writes are
+//!   confined to the owned range, so again disjoint by construction.
 //!
-//! Determinism: every scatter task applies proposals in the same global
-//! slot order with a strict `<` comparison, and bucket pushes are merged
-//! coordinator-side in owned-range order (ascending vertex id). The
-//! result — `dist` *and* `pred` — is therefore bit-identical for every
-//! thread count, and [`delta_stepping`] is literally the parallel driver
-//! at `threads = 1` (where [`run_tasks_mut`] degrades to an inline loop
-//! and spawns nothing).
+//! Determinism: gather chunks cover ascending slot ranges, so a scatter
+//! task's inboxes in gather order are exactly the slot-ordered
+//! subsequence of all proposals that land in its range; it applies them
+//! with a strict `<` comparison. Each improved list is sorted and
+//! deduplicated, and the lists are pushed into buckets coordinator-side
+//! in owned-range order ([`push_improved`]) — globally ascending vertex
+//! id. The result — `dist` *and* `pred` — is therefore bit-identical for
+//! every thread count, and [`delta_stepping`] is literally the parallel
+//! driver at `threads = 1` (where [`run_tasks_mut`] degrades to an
+//! inline loop and spawns nothing).
+//!
+//! Cost: an inner iteration does O(frontier + out-degree sum +
+//! proposals + threads²) work. Nothing of size `n` is allocated or
+//! scanned inside the bucket loop; the inbox and improved-list buffers
+//! live for the whole solve.
 //!
 //! Footprint domain: unit `v` (for `v < n`) is vertex `v`'s dist/pred
 //! entry; unit `n + j` is proposal slot `j` of the current iteration.
@@ -33,8 +46,8 @@
 //! sampled set of) worker interleavings, and verifies the canonical
 //! result against Dijkstra.
 
+use std::convert::Infallible;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use cachegraph_graph::{Graph, VertexId, Weight, INF};
 use cachegraph_plan::{run_tasks_mut, NoSink, TaskFootprint, TaskGraph, UnitSink};
@@ -99,7 +112,7 @@ impl DeltaPhasePlan {
         let mut total = 0usize;
         slot_of.push(0);
         for &u in &frontier {
-            total += g.neighbors(u).count();
+            total += g.degree(u);
             slot_of.push(total);
         }
         let gather_chunks = chunk_ranges(frontier.len(), threads);
@@ -115,6 +128,15 @@ impl DeltaPhasePlan {
     /// Footprint unit of proposal slot `j`.
     pub fn slot_unit(&self, j: usize) -> u64 {
         (self.n + j) as u64
+    }
+
+    /// The scatter task whose owned range holds `v`. Owned ranges
+    /// ascend and there are at most `threads` of them, so this is a
+    /// few boundary comparisons, not a division.
+    #[inline]
+    fn owner(&self, v: VertexId) -> usize {
+        let v = v as usize;
+        self.owned.iter().take_while(|r| r.end <= v).count()
     }
 
     /// Declared footprint of gather task `t`: reads the dist entries of
@@ -137,8 +159,10 @@ impl DeltaPhasePlan {
         fp
     }
 
-    /// Declared footprint of scatter task `t`: reads every proposal slot
-    /// plus its owned dist entries, writes only the owned entries.
+    /// Declared footprint of scatter task `t`: may read any proposal
+    /// slot plus its owned dist entries, writes only the owned entries.
+    /// (The slots it actually reads — its inboxes — are the subset
+    /// whose target it owns.)
     pub fn scatter_footprint(&self, t: usize) -> TaskFootprint {
         let mut fp = TaskFootprint::default();
         for j in 0..self.total_slots() {
@@ -166,18 +190,63 @@ impl DeltaPhasePlan {
     }
 }
 
+/// Take bucket `cur` as the next frontier: deduplicate it and drop
+/// stale entries (vertices whose distance has since improved into
+/// another bucket), keeping first-push order. `in_frontier` is all
+/// `false` on entry and on return.
+pub fn take_frontier(
+    bucket: &mut Vec<VertexId>,
+    cur: usize,
+    dist: &[Weight],
+    delta: Weight,
+    in_frontier: &mut [bool],
+) -> Vec<VertexId> {
+    let mut frontier = std::mem::take(bucket);
+    frontier.retain(|&v| {
+        let vi = v as usize;
+        let keep = !in_frontier[vi] && dist[vi] != INF && (dist[vi] / delta) as usize == cur;
+        in_frontier[vi] |= keep;
+        keep
+    });
+    for &v in &frontier {
+        in_frontier[v as usize] = false;
+    }
+    frontier
+}
+
+/// Push one scatter task's improved vertices (sorted, deduplicated)
+/// into the buckets of their new distances. Called once per owned
+/// range in range order, this pushes in globally ascending vertex id.
+pub fn push_improved(
+    buckets: &mut Vec<Vec<VertexId>>,
+    improved: &[VertexId],
+    dist: &[Weight],
+    delta: Weight,
+) {
+    for &v in improved {
+        let b = (dist[v as usize] / delta) as usize;
+        if b >= buckets.len() {
+            buckets.resize(b + 1, Vec::new());
+        }
+        buckets[b].push(v);
+    }
+}
+
 /// Gather task body: scan the frontier chunk's out-edges against the
 /// (phase-stable) distance array and append improving proposals in slot
-/// order. Generic over the access sink so the differential footprint
-/// test can record exactly what it touches.
+/// order to `out[owner(v)]` (`out` has one inbox per owned range).
+/// Generic over the access sink so the differential footprint test can
+/// record exactly what it touches.
 pub fn gather_task<G: Graph, S: UnitSink>(
     g: &G,
     plan: &DeltaPhasePlan,
     t: usize,
     dist: &[Weight],
-    out: &mut Vec<Proposal>,
+    out: &mut [Vec<Proposal>],
     sink: &mut S,
 ) {
+    debug_assert_eq!(out.len(), plan.owned.len(), "one inbox per owned range");
+    let single = out.len() == 1;
     for p in plan.gather_chunks[t].clone() {
         let u = plan.frontier[p];
         sink.read(u as u64);
@@ -188,41 +257,45 @@ pub fn gather_task<G: Graph, S: UnitSink>(
             if nd < dist[v as usize] {
                 let slot = plan.slot_of[p] + e;
                 sink.write(plan.slot_unit(slot));
-                out.push(Proposal { v, dist: nd, pred: u, slot: slot as u32 });
+                let o = if single { 0 } else { plan.owner(v) };
+                out[o].push(Proposal { v, dist: nd, pred: u, slot: slot as u32 });
             }
         }
     }
 }
 
-/// Scatter task body: apply every proposal owned by task `t` in global
-/// slot order with a strict-min comparison. `dist`/`pred`/`improved`
-/// are the owned sub-slices (index `v - owned[t].start`).
+/// Scatter task body: apply task `t`'s inboxes (`inbox[g]` = gather
+/// task `g`'s proposals for this range, in gather order) with a
+/// strict-min comparison, then sort and deduplicate the ids appended
+/// to `improved`. `dist`/`pred` are the owned sub-slices (index
+/// `v - owned[t].start`).
 pub fn scatter_task<S: UnitSink>(
     plan: &DeltaPhasePlan,
     t: usize,
-    proposals: &[&[Proposal]],
+    inbox: &[&[Proposal]],
     dist: &mut [Weight],
     pred: &mut [VertexId],
-    improved: &mut [bool],
+    improved: &mut Vec<VertexId>,
     sink: &mut S,
 ) {
     let range = plan.owned[t].clone();
-    for props in proposals {
+    for props in inbox {
         for pr in props.iter() {
             sink.read(plan.slot_unit(pr.slot as usize));
             let v = pr.v as usize;
-            if range.contains(&v) {
-                sink.read(v as u64);
-                let i = v - range.start;
-                if pr.dist < dist[i] {
-                    sink.write(v as u64);
-                    dist[i] = pr.dist;
-                    pred[i] = pr.pred;
-                    improved[i] = true;
-                }
+            debug_assert!(range.contains(&v), "proposal for {v} outside owned range");
+            sink.read(v as u64);
+            let i = v - range.start;
+            if pr.dist < dist[i] {
+                sink.write(v as u64);
+                dist[i] = pr.dist;
+                pred[i] = pr.pred;
+                improved.push(pr.v);
             }
         }
     }
+    improved.sort_unstable();
+    improved.dedup();
 }
 
 /// Serial delta-stepping: the parallel driver at one thread (inline
@@ -240,11 +313,8 @@ pub fn delta_stepping_parallel<G: Graph + Sync>(
     delta: Weight,
     threads: usize,
 ) -> SsspResult {
-    match delta_stepping_parallel_cancellable(g, source, delta, threads, &|| false) {
-        Ok(r) => r,
-        // tidy: allow(panic-policy) — the never-cancelling hook makes Err unreachable.
-        Err(Cancelled) => unreachable!("delta-stepping cancelled without a cancel hook"),
-    }
+    let Ok(r) = run_delta::<G, Infallible>(g, source, delta, threads, &|| Ok(()));
+    r
 }
 
 /// [`delta_stepping_parallel`] with deadline propagation: `cancel` is
@@ -258,6 +328,37 @@ pub fn delta_stepping_parallel_cancellable<G: Graph + Sync>(
     threads: usize,
     cancel: &(impl Fn() -> bool + Sync),
 ) -> Result<SsspResult, Cancelled> {
+    run_delta(g, source, delta, threads, &|| if cancel() { Err(Cancelled) } else { Ok(()) })
+}
+
+/// Gather task state that lives for the whole solve: one inbox per
+/// owned range, plus the poll error that stopped the task, if any.
+struct Gather<E> {
+    out: Vec<Vec<Proposal>>,
+    stop: Option<E>,
+}
+
+/// Scatter task state of one inner iteration.
+struct Scatter<'a, E> {
+    dist: &'a mut [Weight],
+    pred: &'a mut [VertexId],
+    inbox: Vec<&'a [Proposal]>,
+    improved: &'a mut Vec<VertexId>,
+    stop: Option<E>,
+}
+
+/// The one delta-stepping driver behind [`delta_stepping_parallel`] and
+/// [`delta_stepping_parallel_cancellable`]. `poll` runs on the
+/// coordinator at every inner iteration and on every worker before each
+/// task; an `Err` ends the solve. With a poll whose error type is
+/// uninhabited, every check compiles away.
+fn run_delta<G: Graph + Sync, E: Send>(
+    g: &G,
+    source: VertexId,
+    delta: Weight,
+    threads: usize,
+    poll: &(impl Fn() -> Result<(), E> + Sync),
+) -> Result<SsspResult, E> {
     assert!(delta >= 1, "bucket width must be at least 1");
     assert!(threads >= 1, "need at least one thread");
     let n = g.num_vertices();
@@ -267,106 +368,78 @@ pub fn delta_stepping_parallel_cancellable<G: Graph + Sync>(
     dist[source as usize] = 0;
     let mut buckets: Vec<Vec<VertexId>> = vec![vec![source]];
     let mut in_frontier = vec![false; n];
-    let cancelled = AtomicBool::new(false);
+    let owners = chunk_ranges(n, threads).len();
+    let mut gathers: Vec<Gather<E>> = Vec::new();
+    let mut improved: Vec<Vec<VertexId>> = vec![Vec::new(); owners];
     let mut cur = 0usize;
     while cur < buckets.len() {
         while !buckets[cur].is_empty() {
-            if cancel() {
-                return Err(Cancelled);
-            }
-            // Deduplicate the bucket and drop stale entries (vertices
-            // whose distance has since improved into another bucket).
-            let raw = std::mem::take(&mut buckets[cur]);
-            let mut frontier: Vec<VertexId> = Vec::with_capacity(raw.len());
-            for v in raw {
-                let vi = v as usize;
-                if !in_frontier[vi] && dist[vi] != INF && (dist[vi] / delta) as usize == cur {
-                    in_frontier[vi] = true;
-                    frontier.push(v);
-                }
-            }
-            for &v in &frontier {
-                in_frontier[v as usize] = false;
-            }
+            poll()?;
+            let frontier = take_frontier(&mut buckets[cur], cur, &dist, delta, &mut in_frontier);
             if frontier.is_empty() {
                 continue;
             }
             let plan = DeltaPhasePlan::new(g, frontier, threads);
+            let gn = plan.gather_chunks.len();
+            if gathers.len() < gn {
+                gathers.resize_with(gn, || Gather { out: vec![Vec::new(); owners], stop: None });
+            }
+            let gathers = &mut gathers[..gn];
 
-            // Phase 1: gather proposals into per-task private vectors.
-            let mut gathers: Vec<(usize, Vec<Proposal>)> =
-                (0..plan.gather_chunks.len()).map(|t| (t, Vec::new())).collect();
+            // Phase 1: gather proposals into per-task, per-owner inboxes.
+            for gt in gathers.iter_mut() {
+                gt.out.iter_mut().for_each(Vec::clear);
+            }
             {
                 let dist_ref: &[Weight] = &dist;
                 let plan_ref = &plan;
-                run_tasks_mut(&mut gathers, threads, |_, (t, out)| {
-                    if cancel() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    gather_task(g, plan_ref, *t, dist_ref, out, &mut NoSink);
+                run_tasks_mut(gathers, threads, |t, gt| match poll() {
+                    Ok(()) => gather_task(g, plan_ref, t, dist_ref, &mut gt.out, &mut NoSink),
+                    Err(e) => gt.stop = Some(e),
                 });
             }
-            if cancelled.load(Ordering::Relaxed) {
-                return Err(Cancelled);
+            if let Some(e) = gathers.iter_mut().find_map(|gt| gt.stop.take()) {
+                return Err(e);
             }
-            let proposals: Vec<&[Proposal]> = gathers.iter().map(|(_, v)| v.as_slice()).collect();
 
-            // Phase 2: scatter over disjoint owned vertex ranges.
-            struct Owned<'a> {
-                t: usize,
-                dist: &'a mut [Weight],
-                pred: &'a mut [VertexId],
-                improved: Vec<bool>,
-            }
-            let mut tasks: Vec<Owned<'_>> = Vec::with_capacity(plan.owned.len());
+            // Phase 2: scatter over disjoint owned vertex ranges, each
+            // task reading only its own inboxes.
             {
+                let mut tasks: Vec<Scatter<'_, E>> = Vec::with_capacity(owners);
                 let mut drest: &mut [Weight] = &mut dist;
                 let mut prest: &mut [VertexId] = &mut pred;
-                for (t, r) in plan.owned.iter().enumerate() {
+                for (t, (r, imp)) in plan.owned.iter().zip(improved.iter_mut()).enumerate() {
                     let len = r.end - r.start;
                     let (d, dnext) = drest.split_at_mut(len);
                     let (p, pnext) = prest.split_at_mut(len);
                     drest = dnext;
                     prest = pnext;
-                    tasks.push(Owned { t, dist: d, pred: p, improved: vec![false; len] });
+                    let inbox = gathers.iter().map(|gt| gt.out[t].as_slice()).collect();
+                    tasks.push(Scatter { dist: d, pred: p, inbox, improved: imp, stop: None });
                 }
-            }
-            {
                 let plan_ref = &plan;
-                let proposals_ref: &[&[Proposal]] = &proposals;
-                run_tasks_mut(&mut tasks, threads, |_, s| {
-                    if cancel() {
-                        cancelled.store(true, Ordering::Relaxed);
-                        return;
-                    }
-                    scatter_task(
+                run_tasks_mut(&mut tasks, threads, |t, s| match poll() {
+                    Ok(()) => scatter_task(
                         plan_ref,
-                        s.t,
-                        proposals_ref,
+                        t,
+                        &s.inbox,
                         s.dist,
                         s.pred,
-                        &mut s.improved,
+                        s.improved,
                         &mut NoSink,
-                    );
+                    ),
+                    Err(e) => s.stop = Some(e),
                 });
-            }
-            if cancelled.load(Ordering::Relaxed) {
-                return Err(Cancelled);
+                if let Some(e) = tasks.iter_mut().find_map(|s| s.stop.take()) {
+                    return Err(e);
+                }
             }
 
-            // Merge bucket pushes in owned-range order: globally
-            // ascending vertex id, independent of thread count.
-            for (task, r) in tasks.iter().zip(&plan.owned) {
-                for (i, &imp) in task.improved.iter().enumerate() {
-                    if imp {
-                        let b = (task.dist[i] / delta) as usize;
-                        if b >= buckets.len() {
-                            buckets.resize(b + 1, Vec::new());
-                        }
-                        buckets[b].push((r.start + i) as VertexId);
-                    }
-                }
+            // Bucket pushes in owned-range order: globally ascending
+            // vertex id, independent of thread count.
+            for imp in &mut improved {
+                push_improved(&mut buckets, imp, &dist, delta);
+                imp.clear();
             }
         }
         cur += 1;
